@@ -48,32 +48,6 @@ pub fn accuracy_from(args: &ParsedArgs, config: &ApproxConfig) -> Result<Accurac
     })
 }
 
-/// Builds the serving plane for the common `--shards N` flag: the ordinary
-/// single service at `N <= 1`, the partitioned [`er_shard::ShardedService`]
-/// (same front-door interface, plus a router handle for stats) otherwise.
-fn service_from(
-    graph: &Graph,
-    config: ApproxConfig,
-    args: &ParsedArgs,
-) -> Result<
-    (
-        ResistanceService,
-        Option<std::sync::Arc<er_shard::ShardRouter>>,
-    ),
-    String,
-> {
-    let shards: usize = args.flag("shards", 1usize)?;
-    if shards <= 1 {
-        let service = ResistanceService::with_config(graph, config).map_err(|e| e.to_string())?;
-        return Ok((service, None));
-    }
-    let shard_config = er_shard::ShardConfig::with_shards(shards).with_seed(config.seed);
-    let sharded =
-        er_shard::ShardedService::build(graph, shard_config, config).map_err(|e| e.to_string())?;
-    let router = sharded.router().clone();
-    Ok((sharded.into_service(), Some(router)))
-}
-
 /// The `--backend` override, if any.
 pub fn backend_from(args: &ParsedArgs) -> Result<Option<BackendChoice>, String> {
     match args.flags.get("backend") {
@@ -116,7 +90,7 @@ pub fn query(graph: &Graph, args: &ParsedArgs) -> Result<String, String> {
     let config = approx_config(args)?;
     let accuracy = accuracy_from(args, &config)?;
     let backend = backend_from(args)?;
-    let (service, router) = service_from(graph, config, args)?;
+    let service = ResistanceService::with_config(graph, config).map_err(|e| e.to_string())?;
 
     // Pairs come from positionals ("s t s t …") or --random N.
     let mut pairs: Vec<(usize, usize)> = Vec::new();
@@ -188,18 +162,6 @@ pub fn query(graph: &Graph, args: &ParsedArgs) -> Result<String, String> {
         cost.spanning_trees,
         response.cache_hits
     );
-    if let Some(router) = router {
-        let stats = router.stats();
-        let _ = writeln!(
-            out,
-            "shards: {} | intra {} | cross {} | escalated {} | edge-cut {}",
-            router.num_shards(),
-            stats.intra,
-            stats.cross,
-            stats.escalated,
-            router.partition().edge_cut
-        );
-    }
     Ok(out)
 }
 
@@ -295,14 +257,7 @@ fn query_stream(graph: &Graph, args: &ParsedArgs, path: &str) -> Result<String, 
 /// asked for port 0.
 pub fn serve(graph: Graph, args: &ParsedArgs) -> Result<String, String> {
     let config = approx_config(args)?;
-    let (service, router) = service_from(&graph, config, args)?;
-    if let Some(router) = &router {
-        println!(
-            "sharded: {} shards, edge cut {}",
-            router.num_shards(),
-            router.partition().edge_cut
-        );
-    }
+    let service = ResistanceService::with_config(graph, config).map_err(|e| e.to_string())?;
     let server_config = er_service::ServerConfig {
         workers: args.flag("workers", 0usize)?,
         queue_depth: args.flag("queue-depth", 1024usize)?,
@@ -522,7 +477,8 @@ COMMANDS:
     query <s> <t> […]           PER queries through the ResistanceService planner
                                 (--random N, --check, --exact, --walk-budget N,
                                 --backend geer|amc|smm|tp|tpc|rp|mc|mc2|hay|
-                                          exact|exact-cg|index|landmark)
+                                          exact|exact-cg|index|landmark;
+                                --exact takes only exact|exact-cg|index)
                                 --stream <file> replays an edge-mutation/query
                                 trace ('+ u v' | '- u v' | '? s t' per line)
                                 through the incremental dynamic service and
@@ -545,10 +501,6 @@ COMMON FLAGS:
     --seed <n>                  RNG seed (default: the library default, 0x5eed)
     --threads <n>               worker threads for parallel sampling (default 0 = all
                                 cores; results are identical at any thread count)
-    --shards <n>                serve over an n-way graph partition (query/serve):
-                                intra-shard answers are bit-identical to unsharded,
-                                cross-shard answers come from sound boundary-landmark
-                                intervals with exact escalation
 "
     .to_string()
 }
@@ -591,18 +543,6 @@ mod tests {
     }
 
     #[test]
-    fn query_routes_through_shards() {
-        let g = graph();
-        let out = query(&g, &args("query 0 120 5 17 --shards 2 --epsilon 0.2")).unwrap();
-        assert!(out.contains("backend: SHARD"), "{out}");
-        assert!(out.contains("shards: 2"), "{out}");
-        assert!(out.contains("edge-cut"), "{out}");
-        // An explicit backend override bypasses the router even when sharded.
-        let forced = query(&g, &args("query 0 120 --shards 2 --backend geer")).unwrap();
-        assert!(forced.contains("backend: GEER"), "{forced}");
-    }
-
-    #[test]
     fn query_backend_override_and_accuracy_flags() {
         let g = graph();
         // The 240-node test graph sits below the planner's exact threshold.
@@ -612,6 +552,8 @@ mod tests {
         assert!(forced.contains("backend: GEER"), "{forced}");
         let exact = query(&g, &args("query 0 120 --exact")).unwrap();
         assert!(exact.contains("backend: EXACT-CG"), "{exact}");
+        let sampled_exact = query(&g, &args("query 0 120 --exact --backend geer")).unwrap_err();
+        assert!(sampled_exact.contains("exact backend"), "{sampled_exact}");
         let budgeted = query(
             &g,
             &args("query 0 120 --epsilon 0.5 --walk-budget 100000 --backend amc"),

@@ -3,7 +3,7 @@
 //!
 //! TPC writes `p_i(s, t)` as a collision probability of two independent
 //! half-length walks: with `a = ⌈i/2⌉`, `b = ⌊i/2⌋`,
-//! `p_i(s, t) = Σ_v p_a(s, v) · p_b(v, t) = Σ_v p_a(s, v) · p_b(t, v) · d(v)/d(t)`
+//! `p_i(s, t) = Σ_v p_a(s, v) · p_b(v, t) = Σ_v p_a(s, v) · p_b(t, v) · d(t)/d(v)`
 //! (the last step uses reversibility `d(t) p_b(t, v) = d(v) p_b(v, t)`).
 //! Sampling η endpoints from each side and counting weighted collisions gives
 //! an unbiased estimate with far better variance than TP's direct endpoint
@@ -209,7 +209,7 @@ impl ResistanceEstimator for Tpc {
             let from_t_a = sample(t, a, &mut self.rng, &mut cost);
             let from_t_b = sample(t, b, &mut self.rng, &mut cost);
 
-            // p_i(x, y) ≈ Σ_v (count_x^a(v)/η) (count_y^b(v)/η) d(v)/d(y),
+            // p_i(x, y) ≈ Σ_v (count_x^a(v)/η) (count_y^b(v)/η) d(y)/d(v),
             // via a merge-join over the id-sorted multisets (ordered
             // iteration keeps the rounding a pure function of the seed).
             let collide = |xa: &[(NodeId, u64)], yb: &[(NodeId, u64)], d_y: f64| {
@@ -221,10 +221,9 @@ impl ResistanceEstimator for Tpc {
                         std::cmp::Ordering::Greater => j += 1,
                         std::cmp::Ordering::Equal => {
                             let v = xa[i].0;
-                            total += (xa[i].1 as f64 / eta as f64)
-                                * (yb[j].1 as f64 / eta as f64)
-                                * g.degree(v) as f64
-                                / d_y;
+                            total +=
+                                (xa[i].1 as f64 / eta as f64) * (yb[j].1 as f64 / eta as f64) * d_y
+                                    / g.degree(v) as f64;
                             i += 1;
                             j += 1;
                         }
@@ -276,6 +275,29 @@ mod tests {
             est.value
         );
         assert!(est.cost.random_walks > 0);
+    }
+
+    #[test]
+    fn tpc_meets_epsilon_on_a_non_regular_graph() {
+        // The collision weight d(y)/d(v) is 1 on a regular graph, so only a
+        // graph with spread-out degrees (hubs of degree 12–19 next to
+        // degree-2 leaves here) shows whether it is the right way up.
+        let g = generators::barabasi_albert(60, 2, 4).unwrap();
+        let ctx = GraphContext::preprocess(&g).unwrap();
+        let solver = LaplacianSolver::for_ground_truth(&g);
+        let eps = 0.2;
+        let mut tpc =
+            Tpc::new(&ctx, ApproxConfig::with_epsilon(eps).reseeded(1)).with_sample_scale(1e-4);
+        for &(s, t) in &[(0, 59), (1, 30), (2, 45), (10, 50), (20, 55), (3, 4)] {
+            let exact = solver.effective_resistance(s, t);
+            let est = tpc.estimate(s, t).unwrap().value;
+            assert!(
+                (est - exact).abs() <= eps,
+                "({s}, {t}) with degrees ({}, {}): tpc {est} vs exact {exact}",
+                g.degree(s),
+                g.degree(t)
+            );
+        }
     }
 
     #[test]

@@ -16,8 +16,6 @@
 //!   bipartiteness tests (the paper assumes a connected, non-bipartite graph).
 //! * [`queries`] — random node-pair and random edge query-set generation
 //!   matching Section 5.1 of the paper.
-//! * [`partition`] — BFS-seeded label-propagation partitioning into
-//!   balanced, connected parts, the substrate of the sharded serving plane.
 //! * [`OverlayGraph`] — an updatable view over an immutable CSR base
 //!   (per-node sorted adjacency deltas merged on read), the substrate of
 //!   incremental dynamic serving: small mutation bursts never rebuild the CSR.
@@ -35,7 +33,6 @@ pub mod generators;
 pub mod graph;
 pub mod io;
 pub mod overlay;
-pub mod partition;
 pub mod queries;
 pub mod stats;
 pub mod transform;
@@ -44,7 +41,5 @@ pub use builder::GraphBuilder;
 pub use error::GraphError;
 pub use graph::{Graph, IntoGraphArc, NodeId};
 pub use overlay::OverlayGraph;
-pub use partition::{Partition, PartitionConfig, PartitionStats, Partitioner};
 pub use queries::{EdgeQuerySet, NodePairQuerySet, QueryPair};
 pub use stats::GraphStats;
-pub use transform::SubgraphMap;

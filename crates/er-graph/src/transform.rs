@@ -19,80 +19,12 @@ use crate::builder::GraphBuilder;
 use crate::error::GraphError;
 use crate::graph::{Graph, NodeId};
 
-/// The two-way node mapping of an induced subgraph: local (subgraph) ids to
-/// the original (global) ids and back.
-///
-/// The reverse direction is a dense `O(1)` lookup over the *original* node
-/// range, so routing layers that translate ids on every query (the sharded
-/// serving plane) never rebuild a hash map per lookup.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SubgraphMap {
-    /// `to_global[local] = global`, in the subgraph's id order.
-    to_global: Vec<NodeId>,
-    /// `to_local[global] = local`, `usize::MAX` for nodes not in the
-    /// subgraph.
-    to_local: Vec<usize>,
-}
-
-impl SubgraphMap {
-    /// Builds the map from a forward mapping (`to_global[local] = global`)
-    /// and the original node count — the helper for callers holding a plain
-    /// `Vec<NodeId>` mapping from elsewhere (e.g.
-    /// [`analysis::largest_connected_component`](crate::analysis::largest_connected_component)).
-    ///
-    /// # Panics
-    /// Panics if any mapped id is `>= original_nodes`.
-    pub fn from_forward(to_global: Vec<NodeId>, original_nodes: usize) -> SubgraphMap {
-        let mut to_local = vec![usize::MAX; original_nodes];
-        for (local, &global) in to_global.iter().enumerate() {
-            to_local[global] = local;
-        }
-        SubgraphMap {
-            to_global,
-            to_local,
-        }
-    }
-
-    /// Number of nodes in the subgraph.
-    pub fn len(&self) -> usize {
-        self.to_global.len()
-    }
-
-    /// Whether the subgraph is empty (never true for maps produced by
-    /// [`induced_subgraph`], which rejects empty node sets).
-    pub fn is_empty(&self) -> bool {
-        self.to_global.is_empty()
-    }
-
-    /// The original id of subgraph node `local`.
-    ///
-    /// # Panics
-    /// Panics if `local` is out of range for the subgraph.
-    pub fn global_of(&self, local: NodeId) -> NodeId {
-        self.to_global[local]
-    }
-
-    /// The subgraph id of original node `global`, or `None` if the node is
-    /// not part of the subgraph (or out of range for the original graph).
-    pub fn local_of(&self, global: NodeId) -> Option<NodeId> {
-        match self.to_local.get(global) {
-            Some(&local) if local != usize::MAX => Some(local),
-            _ => None,
-        }
-    }
-
-    /// The forward mapping as a slice: `to_global()[local] = global`.
-    pub fn to_global(&self) -> &[NodeId] {
-        &self.to_global
-    }
-}
-
-/// The induced subgraph on `nodes`, plus the two-way [`SubgraphMap`] between
-/// subgraph ids and original ids.
+/// The induced subgraph on `nodes`, plus the mapping from new ids to the
+/// original ids (`mapping[new] = old`).
 ///
 /// Nodes may be listed in any order; duplicates are ignored. The resulting
 /// graph relabels the kept nodes to `0..k` in the order of first appearance.
-pub fn induced_subgraph(g: &Graph, nodes: &[NodeId]) -> Result<(Graph, SubgraphMap), GraphError> {
+pub fn induced_subgraph(g: &Graph, nodes: &[NodeId]) -> Result<(Graph, Vec<NodeId>), GraphError> {
     let mut new_id = vec![usize::MAX; g.num_nodes()];
     let mut mapping = Vec::new();
     for &v in nodes {
@@ -114,16 +46,7 @@ pub fn induced_subgraph(g: &Graph, nodes: &[NodeId]) -> Result<(Graph, SubgraphM
             }
         }
     }
-    let sub = builder.build()?;
-    // `new_id` is exactly the reverse lookup; hand it over instead of
-    // discarding and rebuilding it.
-    Ok((
-        sub,
-        SubgraphMap {
-            to_global: mapping,
-            to_local: new_id,
-        },
-    ))
+    Ok((builder.build()?, mapping))
 }
 
 /// A copy of `g` with the listed undirected edges removed.
@@ -245,10 +168,10 @@ pub fn core_numbers(g: &Graph) -> Vec<usize> {
 }
 
 /// The `k`-core of `g`: the maximal induced subgraph in which every node has
-/// degree at least `k`, together with the two-way node [`SubgraphMap`].
+/// degree at least `k`, together with the new-to-old node mapping.
 ///
 /// Returns [`GraphError::Empty`] if no node survives the peeling.
-pub fn k_core(g: &Graph, k: usize) -> Result<(Graph, SubgraphMap), GraphError> {
+pub fn k_core(g: &Graph, k: usize) -> Result<(Graph, Vec<NodeId>), GraphError> {
     let core = core_numbers(g);
     let survivors: Vec<NodeId> = (0..g.num_nodes()).filter(|&v| core[v] >= k).collect();
     induced_subgraph(g, &survivors)
@@ -272,25 +195,7 @@ mod tests {
         let (sub, mapping) = induced_subgraph(&g, &[1, 3, 5]).unwrap();
         assert_eq!(sub.num_nodes(), 3);
         assert_eq!(sub.num_edges(), 3, "K_3 among the kept nodes");
-        assert_eq!(mapping.to_global(), &[1, 3, 5]);
-        // The reverse lookup inverts the forward mapping and rejects
-        // everything else.
-        assert_eq!(mapping.len(), 3);
-        assert!(!mapping.is_empty());
-        for (local, &global) in mapping.to_global().iter().enumerate() {
-            assert_eq!(mapping.global_of(local), global);
-            assert_eq!(mapping.local_of(global), Some(local));
-        }
-        assert_eq!(mapping.local_of(0), None, "dropped node");
-        assert_eq!(mapping.local_of(99), None, "out of range");
-    }
-
-    #[test]
-    fn subgraph_map_from_forward_matches_induced() {
-        let g = generators::complete(6).unwrap();
-        let (_, mapping) = induced_subgraph(&g, &[4, 0, 2]).unwrap();
-        let rebuilt = SubgraphMap::from_forward(vec![4, 0, 2], 6);
-        assert_eq!(rebuilt, mapping);
+        assert_eq!(mapping, vec![1, 3, 5]);
     }
 
     #[test]
@@ -299,7 +204,7 @@ mod tests {
         let (sub, mapping) = induced_subgraph(&g, &[2, 2, 1]).unwrap();
         assert_eq!(sub.num_nodes(), 2);
         assert_eq!(sub.num_edges(), 1);
-        assert_eq!(mapping.to_global(), &[2, 1]);
+        assert_eq!(mapping, vec![2, 1]);
         assert!(induced_subgraph(&g, &[9]).is_err());
         assert!(induced_subgraph(&g, &[]).is_err());
     }
@@ -378,7 +283,7 @@ mod tests {
         let lolly = generators::lollipop(5, 4).unwrap();
         let (core2, mapping) = k_core(&lolly, 2).unwrap();
         assert_eq!(core2.num_nodes(), 5, "only the clique survives the 2-core");
-        assert!(mapping.to_global().iter().all(|&old| old < 5));
+        assert!(mapping.iter().all(|&old| old < 5));
         assert!(k_core(&lolly, 5).is_err(), "no node has degree >= 5");
     }
 

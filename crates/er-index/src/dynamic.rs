@@ -8,7 +8,7 @@
 //! (CSR graph + λ + [`GraphContext`]) *lazily and incrementally*:
 //!
 //! * mutations are O(log m) set updates mirrored into an
-//!   [`OverlayGraph`](er_graph::OverlayGraph) (per-node sorted adjacency
+//!   [`OverlayGraph`] (per-node sorted adjacency
 //!   deltas over the previous snapshot's CSR), so a burst never rebuilds the
 //!   CSR eagerly;
 //! * the first query after a burst pays an **incremental refresh**: an

@@ -106,75 +106,9 @@ impl LandmarkIndex {
         }
         let n = graph.num_nodes();
         let num_landmarks = num_landmarks.min(n);
-        let landmarks = select_landmarks(graph, num_landmarks, selection, seed, &[]);
-        Self::build_for_landmarks(graph, landmarks, diagonal, seed)
-    }
-
-    /// Builds an index whose landmark set *starts with* `required` (deduped,
-    /// in the given order) and is topped up with `num_extra` further
-    /// landmarks chosen by `selection` from the remaining nodes.
-    ///
-    /// The required nodes keep their positions: `landmarks()[i]` is
-    /// `required[i]` for the first `required.len()` distinct entries, so
-    /// callers that anchor other structures to the required set (the sharded
-    /// serving plane anchors per-shard boundary *portals* this way) can
-    /// index [`sqrt_resistance`](Self::sqrt_resistance) by position without
-    /// a lookup.
-    ///
-    /// ```
-    /// use er_graph::generators;
-    /// use er_index::{LandmarkIndex, LandmarkSelection};
-    ///
-    /// let g = generators::social_network_like(120, 8.0, 5).unwrap();
-    /// let index =
-    ///     LandmarkIndex::build_with_required(&g, &[3, 77], 4, LandmarkSelection::Mixed, 1)
-    ///         .unwrap();
-    /// assert_eq!(&index.landmarks()[..2], &[3, 77]);
-    /// assert_eq!(index.landmarks().len(), 6);
-    /// assert_eq!(index.sqrt_resistance(0, 3), 0.0, "√r(3, 3) = 0");
-    /// ```
-    pub fn build_with_required(
-        graph: &Graph,
-        required: &[NodeId],
-        num_extra: usize,
-        selection: LandmarkSelection,
-        seed: u64,
-    ) -> Result<Self, IndexError> {
-        let n = graph.num_nodes();
-        let mut landmarks: Vec<NodeId> = Vec::with_capacity(required.len() + num_extra);
-        for &v in required {
-            if v >= n {
-                return Err(IndexError::Graph(er_graph::GraphError::NodeOutOfRange {
-                    node: v,
-                    n,
-                }));
-            }
-            if !landmarks.contains(&v) {
-                landmarks.push(v);
-            }
-        }
-        if landmarks.is_empty() && num_extra == 0 {
-            return Err(IndexError::InvalidConfiguration {
-                name: "required",
-                message: "need at least one required or extra landmark".into(),
-            });
-        }
-        let num_extra = num_extra.min(n - landmarks.len());
-        let extra = select_landmarks(graph, num_extra, selection, seed, &landmarks);
-        landmarks.extend(extra);
-        Self::build_for_landmarks(graph, landmarks, DiagonalStrategy::ExactSolves, seed)
-    }
-
-    /// Solves the landmark columns for an explicit, already-validated
-    /// landmark list.
-    fn build_for_landmarks(
-        graph: &Graph,
-        landmarks: Vec<NodeId>,
-        diagonal: DiagonalStrategy,
-        seed: u64,
-    ) -> Result<Self, IndexError> {
-        let mut index = ErIndex::build_with(graph, diagonal, seed)?
-            .with_column_capacity(landmarks.len().max(1));
+        let landmarks = select_landmarks(graph, num_landmarks, selection, seed);
+        let mut index =
+            ErIndex::build_with(graph, diagonal, seed)?.with_column_capacity(num_landmarks.max(1));
         let mut sqrt_resistances = Vec::with_capacity(landmarks.len());
         for &l in &landmarks {
             let profile = index.single_source(l)?;
@@ -183,7 +117,7 @@ impl LandmarkIndex {
         Ok(LandmarkIndex {
             landmarks,
             sqrt_resistances,
-            num_nodes: graph.num_nodes(),
+            num_nodes: n,
         })
     }
 
@@ -251,9 +185,11 @@ impl LandmarkIndex {
     /// The stored exact `√r(landmark, v)` for the landmark at position
     /// `landmark_pos` of [`landmarks`](Self::landmarks).
     ///
-    /// This is the per-side ingredient of cross-shard interval stitching:
-    /// `√r` is a metric, so per-side landmark distances compose with
-    /// landmark-landmark distances by the triangle inequality.
+    /// This is the extraction side of [`from_parts`](Self::from_parts): the
+    /// dynamic service reads the whole table out through it, advances it
+    /// across an edge mutation with Sherman–Morrison updates, and carries it
+    /// into the next epoch's index instead of re-solving the landmark
+    /// columns.
     ///
     /// # Panics
     /// Panics if `landmark_pos` or `v` is out of range.
@@ -307,27 +243,22 @@ impl LandmarkIndex {
     }
 }
 
-/// Chooses `k` landmarks by `selection` among the nodes not in `exclude`
-/// (the already-fixed required landmarks of
-/// [`LandmarkIndex::build_with_required`]).
 fn select_landmarks(
     graph: &Graph,
     k: usize,
     selection: LandmarkSelection,
     seed: u64,
-    exclude: &[NodeId],
 ) -> Vec<NodeId> {
     let n = graph.num_nodes();
     let mut rng = StdRng::seed_from_u64(seed);
-    let eligible = || (0..n).filter(|v| !exclude.contains(v));
     let by_degree = || {
-        let mut nodes: Vec<NodeId> = eligible().collect();
+        let mut nodes: Vec<NodeId> = (0..n).collect();
         nodes.sort_by_key(|&v| std::cmp::Reverse(graph.degree(v)));
         nodes
     };
     match selection {
         LandmarkSelection::Random => {
-            let mut nodes: Vec<NodeId> = eligible().collect();
+            let mut nodes: Vec<NodeId> = (0..n).collect();
             nodes.shuffle(&mut rng);
             nodes.truncate(k);
             nodes
@@ -340,7 +271,7 @@ fn select_landmarks(
         LandmarkSelection::Mixed => {
             let hubs = k / 2;
             let mut chosen: Vec<NodeId> = by_degree().into_iter().take(hubs).collect();
-            let mut rest: Vec<NodeId> = eligible().filter(|v| !chosen.contains(v)).collect();
+            let mut rest: Vec<NodeId> = (0..n).filter(|v| !chosen.contains(v)).collect();
             rest.shuffle(&mut rng);
             chosen.extend(rest.into_iter().take(k - chosen.len()));
             chosen
@@ -387,6 +318,18 @@ mod tests {
     }
 
     #[test]
+    fn sqrt_resistance_is_the_exact_landmark_profile() {
+        let g = generators::social_network_like(140, 8.0, 6).unwrap();
+        let index = LandmarkIndex::build(&g, 4, LandmarkSelection::Mixed, 2).unwrap();
+        let solver = LaplacianSolver::for_ground_truth(&g);
+        for (pos, &l) in index.landmarks().iter().enumerate() {
+            assert_eq!(index.sqrt_resistance(pos, l), 0.0);
+            let exact = solver.effective_resistance(l, 77);
+            assert!((index.sqrt_resistance(pos, 77).powi(2) - exact).abs() < 1e-6);
+        }
+    }
+
+    #[test]
     fn more_landmarks_never_loosen_bounds() {
         let g = generators::social_network_like(120, 7.0, 9).unwrap();
         let small = LandmarkIndex::build(&g, 2, LandmarkSelection::HighestDegree, 4).unwrap();
@@ -421,42 +364,6 @@ mod tests {
         let hubs = LandmarkIndex::build(&g, 3, LandmarkSelection::HighestDegree, 0).unwrap();
         let max_degree = g.max_degree();
         assert_eq!(g.degree(hubs.landmarks()[0]), max_degree);
-    }
-
-    #[test]
-    fn required_landmarks_keep_their_positions_and_bound_soundly() {
-        let g = generators::social_network_like(140, 8.0, 6).unwrap();
-        let required = vec![10, 40, 10, 99]; // duplicate is dropped
-        let index =
-            LandmarkIndex::build_with_required(&g, &required, 3, LandmarkSelection::Mixed, 2)
-                .unwrap();
-        assert_eq!(&index.landmarks()[..3], &[10, 40, 99]);
-        assert_eq!(index.landmarks().len(), 6);
-        let mut sorted = index.landmarks().to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 6, "extras never repeat the required set");
-        // Stored sqrt distances are the exact per-landmark profiles.
-        let solver = LaplacianSolver::for_ground_truth(&g);
-        for pos in 0..3 {
-            let l = index.landmarks()[pos];
-            assert_eq!(index.sqrt_resistance(pos, l), 0.0);
-            let exact = solver.effective_resistance(l, 77);
-            assert!((index.sqrt_resistance(pos, 77).powi(2) - exact).abs() < 1e-6);
-        }
-        // Bounds built on a required-landmark index stay sound.
-        for &(s, t) in &[(0usize, 70usize), (10, 120), (40, 99)] {
-            let exact = solver.effective_resistance(s, t);
-            assert!(index.bounds(s, t).unwrap().contains(exact));
-        }
-        // Out-of-range required nodes and empty configurations are rejected.
-        assert!(
-            LandmarkIndex::build_with_required(&g, &[999], 2, LandmarkSelection::Random, 0)
-                .is_err()
-        );
-        assert!(
-            LandmarkIndex::build_with_required(&g, &[], 0, LandmarkSelection::Random, 0).is_err()
-        );
     }
 
     #[test]

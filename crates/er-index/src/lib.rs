@@ -14,8 +14,7 @@
 //!   with Foster's-theorem and resistance-diameter summaries.
 //! * [`LandmarkIndex`] — O(k)-per-query lower/upper bounds from `k` landmark
 //!   columns, exploiting that `√r` is a metric.
-//! * [`QueryCache`] / [`BatchExecutor`] — memoisation and batched execution
-//!   over any [`er_core::ResistanceEstimator`].
+//! * [`QueryCache`] — a bounded symmetric memo of pair answers.
 //! * [`DynamicEr`] — an editable graph with lazily refreshed spectral
 //!   preprocessing for insert/delete/query workloads.
 
@@ -23,7 +22,6 @@
 #![warn(missing_docs)]
 
 pub mod allpairs;
-pub mod batch;
 pub mod cache;
 pub mod diagonal;
 pub mod dynamic;
@@ -32,7 +30,6 @@ pub mod landmark;
 pub mod single_source;
 
 pub use allpairs::AllPairsResistance;
-pub use batch::{BatchExecutor, BatchReport};
 pub use cache::QueryCache;
 pub use diagonal::{pseudo_inverse_diagonal, DiagonalStrategy};
 pub use dynamic::DynamicEr;

@@ -103,6 +103,16 @@ impl BackendChoice {
         }
     }
 
+    /// Whether the backend computes resistances exactly (to solver
+    /// tolerance) rather than sampling or bounding them. Only these may
+    /// answer an [`Accuracy::Exact`] request that overrides the planner.
+    pub fn is_exact(&self) -> bool {
+        matches!(
+            self,
+            BackendChoice::ExactDense | BackendChoice::ExactCg | BackendChoice::Index
+        )
+    }
+
     /// The query shapes this backend can answer — the static policy behind
     /// each instance's [`Backend::capabilities`](crate::Backend::capabilities),
     /// so the service can reject a mismatched request before paying any

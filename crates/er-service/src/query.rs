@@ -215,7 +215,8 @@ impl Request {
     }
 
     /// Forces a specific backend (validated against its capabilities at
-    /// submit time).
+    /// submit time). With [`Accuracy::Exact`] only an exact backend
+    /// ([`BackendChoice::is_exact`]) is accepted.
     #[must_use]
     pub fn with_backend(mut self, backend: BackendChoice) -> Request {
         self.backend = Some(backend);

@@ -105,15 +105,6 @@ struct ServiceCore {
     config: ApproxConfig,
     planner: Planner,
     landmark_count: usize,
-    /// Extra landmark nodes the LANDMARK backend must include (the sharded
-    /// serving plane pins each shard's boundary portals here).
-    required_landmarks: Vec<NodeId>,
-    /// When set, planner-routed pair-shaped requests bypass the
-    /// [`BackendChoice`] registry and are answered by this backend instead —
-    /// the integration point of routing layers like the shard router.
-    /// Explicit per-request backend overrides still reach their named
-    /// backend.
-    router: Option<Arc<dyn Backend>>,
 }
 
 /// The sharded cache tier: one bounded [`QueryCache`] per cache class, each
@@ -262,8 +253,6 @@ impl ResistanceService {
                 config,
                 planner: Planner::default(),
                 landmark_count: Self::DEFAULT_LANDMARKS,
-                required_landmarks: Vec::new(),
-                router: None,
             }),
             caches: CacheTier::new(Self::DEFAULT_CACHE_CAPACITY),
             backends: BackendRegistry::default(),
@@ -303,35 +292,6 @@ impl ResistanceService {
     #[must_use]
     pub fn with_landmarks(mut self, count: usize) -> Self {
         self.core_mut().landmark_count = count.max(1);
-        self
-    }
-
-    /// Pins specific nodes as landmarks of the LANDMARK backend (they come
-    /// first, topped up to [`with_landmarks`](Self::with_landmarks) by the
-    /// mixed selection). The sharded serving plane pins each shard's
-    /// boundary portals so bound queries are anchored at the cut.
-    #[must_use]
-    pub fn with_required_landmarks(mut self, nodes: Vec<NodeId>) -> Self {
-        self.core_mut().required_landmarks = nodes;
-        self
-    }
-
-    /// Installs a routing backend for planner-routed pair-shaped requests
-    /// (`Pair`, `Batch`, `EdgeSet`).
-    ///
-    /// With a router installed, those requests skip the
-    /// [`BackendChoice`] registry and are answered by `router` — the
-    /// integration point that lets a sharded topology
-    /// (`effective_resistance::shard::ShardRouter`) serve through the
-    /// ordinary [`submit`](Self::submit) front door, cache tier and
-    /// [`ResistanceServer`](crate::ResistanceServer) unchanged. Requests
-    /// with an explicit [`Request::backend`](crate::Request::backend)
-    /// override, and all source-shaped queries, are unaffected;
-    /// [`plan`](Self::plan) likewise keeps reporting the planner's own
-    /// choice.
-    #[must_use]
-    pub fn with_pair_router(mut self, router: Arc<dyn Backend>) -> Self {
-        self.core_mut().router = Some(router);
         self
     }
 
@@ -443,6 +403,25 @@ impl ResistanceService {
         })
     }
 
+    /// [`plan`](Self::plan) for a request about to be served: an `Exact`
+    /// request may only override to an exact backend. A sampling backend
+    /// would run at the service's default ε, and its value would be cached
+    /// in the `Exact` class, from which it would serve tighter ε requests
+    /// as if it were exact.
+    fn resolve(&self, request: &Request) -> Result<BackendChoice, ServiceError> {
+        match (request.accuracy, request.backend) {
+            (Accuracy::Exact, Some(choice)) if !choice.is_exact() => {
+                Err(ServiceError::InvalidRequest {
+                    message: format!(
+                        "exact accuracy needs an exact backend (exact-cg, exact or index), not {}",
+                        choice.name()
+                    ),
+                })
+            }
+            _ => Ok(self.plan(request)),
+        }
+    }
+
     /// Answers a request: validates it, consults the cache tier, routes to a
     /// backend and assembles the response in request order.
     ///
@@ -459,10 +438,14 @@ impl ResistanceService {
     /// tier may serve a later ε request of the same backend-override class
     /// (exact answers satisfy every ε target), substituting the exact bits
     /// for the sampled ones.
+    ///
+    /// An `Exact` request whose override names a backend that is not exact
+    /// (see [`BackendChoice::is_exact`]) is rejected with
+    /// [`ServiceError::InvalidRequest`].
     pub fn submit(&self, request: &Request) -> Result<Response, ServiceError> {
         match &request.query {
             Query::Pair { .. } | Query::Batch { .. } | Query::EdgeSet { .. } => {
-                let choice = self.plan(request);
+                let choice = self.resolve(request)?;
                 let mut responses = self.submit_pairs_planned(&[request], choice)?;
                 Ok(responses.pop().expect("one response per request"))
             }
@@ -490,7 +473,7 @@ impl ResistanceService {
         let Some(first) = requests.first() else {
             return Ok(Vec::new());
         };
-        let choice = self.plan(first);
+        let choice = self.resolve(first)?;
         for request in requests {
             if !request.query.shape().is_pairwise() {
                 return Err(ServiceError::InvalidRequest {
@@ -543,14 +526,6 @@ impl ResistanceService {
     ) -> Result<Vec<Response>, ServiceError> {
         let first = requests.first().expect("submit_pairs_planned needs input");
         let accuracy = first.accuracy;
-        // An installed router intercepts planner-routed groups; explicit
-        // backend overrides keep their named backend.
-        let router = match first.backend {
-            None => self.core.router.as_ref(),
-            Some(_) => None,
-        };
-        let backend_name = router.map_or_else(|| choice.name(), |r| r.name());
-        let capabilities = router.map_or_else(|| choice.capabilities(), |r| r.capabilities());
 
         // Validation first (bad node ids / non-edges fail before any backend
         // or cache cost is paid), then the static capability check.
@@ -567,9 +542,9 @@ impl ResistanceService {
                     });
                 }
             }
-            if !capabilities.contains(shape) {
+            if !choice.capabilities().contains(shape) {
                 return Err(ServiceError::UnsupportedShape {
-                    backend: backend_name,
+                    backend: choice.name(),
                     shape,
                 });
             }
@@ -663,7 +638,7 @@ impl ResistanceService {
                 .map(|p| Response {
                     values: p.values,
                     nodes: Vec::new(),
-                    backend: backend_name,
+                    backend: choice.name(),
                     cost: er_core::CostBreakdown::default(),
                     shared_cost: er_core::CostBreakdown::default(),
                     item_costs: Vec::new(),
@@ -691,10 +666,7 @@ impl ResistanceService {
             streams,
             threads: self.core.config.threads,
         };
-        let backend: Arc<dyn Backend> = match router {
-            Some(r) => Arc::clone(r),
-            None => self.backend_instance(choice, accuracy)?,
-        };
+        let backend = self.backend_instance(choice, accuracy)?;
         let answer = backend.answer(&plan, &stream_plan)?;
         {
             let mut cache = shard.lock().expect("cache shard poisoned");
@@ -723,7 +695,7 @@ impl ResistanceService {
                 Response {
                     values,
                     nodes: Vec::new(),
-                    backend: backend_name,
+                    backend: choice.name(),
                     cost: answer.cost,
                     shared_cost: answer.shared_cost,
                     item_costs,
@@ -743,7 +715,7 @@ impl ResistanceService {
     ) -> Result<Response, ServiceError> {
         self.core.context.check_pair(source, source)?;
         let shape = request.query.shape();
-        let choice = self.plan(request);
+        let choice = self.resolve(request)?;
         if !choice.capabilities().contains(shape) {
             return Err(ServiceError::UnsupportedShape {
                 backend: choice.name(),
@@ -766,7 +738,7 @@ impl ResistanceService {
     }
 
     fn submit_diagonal(&self, request: &Request) -> Result<Response, ServiceError> {
-        let choice = self.plan(request);
+        let choice = self.resolve(request)?;
         if !choice.capabilities().contains(QueryShape::Diagonal) {
             return Err(ServiceError::UnsupportedShape {
                 backend: choice.name(),
@@ -936,29 +908,12 @@ impl ResistanceService {
                     .lock()
                     .expect("landmark slot poisoned");
                 if slot.is_none() {
-                    let index = if self.core.required_landmarks.is_empty() {
-                        LandmarkIndex::build(
-                            self.core.context.graph(),
-                            self.core.landmark_count,
-                            LandmarkSelection::Mixed,
-                            self.core.config.seed,
-                        )?
-                    } else {
-                        // Required landmarks (e.g. a shard's boundary portals)
-                        // claim the leading positions; the mixed selection
-                        // tops the set up to the configured count.
-                        let extra = self
-                            .core
-                            .landmark_count
-                            .saturating_sub(self.core.required_landmarks.len());
-                        LandmarkIndex::build_with_required(
-                            self.core.context.graph(),
-                            &self.core.required_landmarks,
-                            extra,
-                            LandmarkSelection::Mixed,
-                            self.core.config.seed,
-                        )?
-                    };
+                    let index = LandmarkIndex::build(
+                        self.core.context.graph(),
+                        self.core.landmark_count,
+                        LandmarkSelection::Mixed,
+                        self.core.config.seed,
+                    )?;
                     *slot = Some(Arc::new(LandmarkBackend::new(index)));
                 }
                 slot.clone().expect("memoized above")
@@ -1134,6 +1089,48 @@ mod tests {
             )
             .unwrap();
         assert_eq!(forced.backend_calls, 1);
+    }
+
+    #[test]
+    fn exact_requests_reject_non_exact_overrides_before_the_cache() {
+        let s = service(200);
+        let exact = |choice| {
+            Request::new(Query::pair(0, 50))
+                .with_accuracy(Accuracy::Exact)
+                .with_backend(choice)
+        };
+        for choice in [
+            BackendChoice::Geer,
+            BackendChoice::Amc,
+            BackendChoice::Smm,
+            BackendChoice::Rp,
+            BackendChoice::Landmark,
+        ] {
+            let err = s.submit(&exact(choice)).unwrap_err();
+            assert!(
+                matches!(err, ServiceError::InvalidRequest { .. }),
+                "{choice:?}: {err}"
+            );
+            assert!(s.submit_coalesced(&[&exact(choice)]).is_err());
+        }
+        // Source shapes share the check: the same typed error, not an
+        // unsupported-shape one.
+        let source = Request::new(Query::single_source(0))
+            .with_accuracy(Accuracy::Exact)
+            .with_backend(BackendChoice::Geer);
+        assert!(matches!(
+            s.submit(&source),
+            Err(ServiceError::InvalidRequest { .. })
+        ));
+        // Nothing was computed or cached by the rejected requests.
+        assert_eq!(s.cache_stats(), (0, 0, 0));
+        for choice in [
+            BackendChoice::ExactCg,
+            BackendChoice::ExactDense,
+            BackendChoice::Index,
+        ] {
+            assert_eq!(s.submit(&exact(choice)).unwrap().backend, choice.name());
+        }
     }
 
     #[test]
@@ -1321,94 +1318,6 @@ mod tests {
             .unwrap();
         assert_eq!(response.backend, "AMC");
         assert!(response.cost.random_walks <= 500);
-    }
-
-    /// Test double for the router seam: answers every plan item with a
-    /// recognisable constant so routed responses are easy to tell apart.
-    struct ConstantRouter;
-
-    impl Backend for ConstantRouter {
-        fn name(&self) -> &'static str {
-            "CONST-ROUTER"
-        }
-
-        fn capabilities(&self) -> crate::capability::QueryShapeSet {
-            crate::capability::QueryShapeSet::PAIRWISE
-        }
-
-        fn answer(&self, plan: &Plan, _streams: &StreamPlan) -> Result<Response, ServiceError> {
-            Ok(Response {
-                values: vec![42.0; plan.items.len()],
-                nodes: Vec::new(),
-                backend: self.name(),
-                cost: er_core::CostBreakdown::default(),
-                shared_cost: er_core::CostBreakdown::default(),
-                item_costs: vec![er_core::CostBreakdown::default(); plan.items.len()],
-                cache_hits: 0,
-                backend_calls: plan.items.len() as u64,
-                trivial_queries: 0,
-            })
-        }
-    }
-
-    #[test]
-    fn pair_router_intercepts_planner_routed_requests_only() {
-        let s = service(100).with_pair_router(Arc::new(ConstantRouter));
-
-        // Planner-routed pair: the router answers.
-        let routed = s.submit(&Request::new(Query::pair(0, 50))).unwrap();
-        assert_eq!(routed.backend, "CONST-ROUTER");
-        assert_eq!(routed.value(), 42.0);
-
-        // Batches are pair-shaped too and go through the same seam.
-        let batch = s
-            .submit(&Request::new(Query::batch(vec![(0, 1), (2, 3)])))
-            .unwrap();
-        assert_eq!(batch.backend, "CONST-ROUTER");
-        assert_eq!(batch.values, vec![42.0, 42.0]);
-
-        // An explicit backend override bypasses the router.
-        let forced = s
-            .submit(&Request::new(Query::pair(0, 50)).with_backend(BackendChoice::ExactCg))
-            .unwrap();
-        assert_eq!(forced.backend, "EXACT-CG");
-        assert!(forced.value() < 42.0);
-
-        // A repeat of the routed pair is served from the cache but still
-        // reports the router as its backend.
-        let cached = s.submit(&Request::new(Query::pair(0, 50))).unwrap();
-        assert_eq!(cached.backend, "CONST-ROUTER");
-        assert_eq!(cached.cache_hits, 1);
-        assert_eq!(cached.value(), 42.0);
-
-        // Source-shaped queries never touch the pair router.
-        let source = s
-            .submit(&Request::new(Query::single_source(0)).with_accuracy(Accuracy::Exact))
-            .unwrap();
-        assert_ne!(source.backend, "CONST-ROUTER");
-    }
-
-    #[test]
-    fn required_landmarks_reach_the_landmark_backend() {
-        let g = generators::social_network_like(90, 8.0, 11).unwrap();
-        let s = ResistanceService::new(&g)
-            .unwrap()
-            .with_required_landmarks(vec![3, 7]);
-        // An exact landmark pair: r(3, 7) upper == lower when one endpoint
-        // is itself a landmark, so the bound midpoint is exact there.
-        let response = s
-            .submit(&Request::new(Query::pair(3, 7)).with_backend(BackendChoice::Landmark))
-            .unwrap();
-        assert_eq!(response.backend, "LANDMARK");
-        let exact = s
-            .submit(&Request::new(Query::pair(3, 7)).with_accuracy(Accuracy::Exact))
-            .unwrap();
-        assert!(
-            (response.value() - exact.value()).abs() < 1e-6,
-            "landmark endpoint pairs are exact: {} vs {}",
-            response.value(),
-            exact.value()
-        );
     }
 
     #[test]

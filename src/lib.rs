@@ -18,12 +18,6 @@
 //!   every estimator, plus the concurrent serving front end
 //!   ([`ResistanceServer`] with admission control, request dedup,
 //!   cross-client coalescing and deadline-aware scheduling).
-//! * [`shard`] (= `er-shard`) — the **sharded serving plane**: graph
-//!   partitioning into balanced connected parts, one service per shard,
-//!   and a boundary-landmark [`ShardRouter`] that answers intra-shard pairs
-//!   bit-identically to an unsharded service and cross-shard pairs with
-//!   sound stitched intervals plus exact-solve escalation
-//!   ([`ShardedService`]).
 //! * [`http`] (= `er-http`) — a std-only HTTP/1.1 front end
 //!   ([`HttpServer`]) serving `POST /query`, `GET /metrics` and
 //!   `GET /healthz` over a [`ServerHandle`], bit-identical to in-process
@@ -75,7 +69,7 @@ pub mod walks {
 }
 
 /// Indexing layer: single-source/all-pairs ER, landmark bounds, query
-/// caching/batching and dynamic graphs (re-export of the `er-index` crate).
+/// caching and dynamic graphs (re-export of the `er-index` crate).
 pub mod index {
     pub use er_index::*;
 }
@@ -84,12 +78,6 @@ pub mod index {
 /// [`ResistanceService`] front door (re-export of the `er-service` crate).
 pub mod service {
     pub use er_service::*;
-}
-
-/// Sharded serving: graph partitioning, per-shard services and the
-/// cross-shard boundary-landmark router (re-export of the `er-shard` crate).
-pub mod shard {
-    pub use er_shard::*;
 }
 
 /// Cross-process serving: the std-only HTTP/1.1 front end over
@@ -118,4 +106,3 @@ pub use er_service::{
     ResistanceService, Response, ServerConfig, ServerHandle, ServerStats, ServiceEpoch,
     ServiceError, Session, SubmitOptions, Ticket,
 };
-pub use er_shard::{ShardConfig, ShardRouter, ShardedService};

@@ -1,0 +1,492 @@
+//! End-to-end accuracy conformance: every serving path that answers pair
+//! queries is checked against ground truth, not only bit for bit against
+//! another path of the same system.
+//!
+//! Truth is [`AllPairsResistance`] on small graphs from each generator
+//! family: Barabási–Albert, Watts–Strogatz, social-network-like and a
+//! barbell, whose bridge gives it a spectral gap of about 0.01. One seeded
+//! pair set per graph goes through each path:
+//!
+//! * [`ResistanceService`] with the default planner, and with a
+//!   [`PlannerConfig`] that sends every ε request to GEER (node threshold 0,
+//!   spectral-gap rule off);
+//! * the `ExactCg`, `ExactDense` and `Index` overrides at `Exact`, and the
+//!   `Geer`, `Amc` and `Smm` overrides at ε;
+//! * a [`ServerHandle`] with coalescing on;
+//! * er-http `POST /query`.
+//!
+//! What is asserted:
+//!
+//! * `Exact` answers are within [`EXACT_TOL`] of the truth.
+//! * ε answers are within ε at an observed rate of at least 1 − δ, up to a
+//!   binomial slack. Each answer may miss with probability δ, so a path
+//!   with `n` answers may show [`allowed_misses`]`(n, δ)` misses: the
+//!   smallest `k` with `P[Bin(n, δ) > k] ≤ 1e-6`. At `n = 80` and
+//!   δ = 0.01 that is 8 misses.
+//! * An ε = 0.5 answer never serves a later ε = 0.05 request of the same
+//!   cache class.
+//! * `Exact` with a sampling override is a typed error, in process, through
+//!   the server and over HTTP.
+//!
+//! Left out of the ε assertions:
+//!
+//! * TP and TPC: at their paper sample sizes, 60 pairs took 60 s and 200 s
+//!   in release. TPC's estimator is checked against exact values by its
+//!   unit test on a non-regular graph.
+//! * RP: its sketch costs `24 ln n / ε²` Laplacian solves before the first
+//!   answer.
+//! * MC: its trial count assumes `r(s, t) ≤ γ`, and its escape walks are
+//!   not truncated.
+//! * LANDMARK: it answers the midpoint of triangle-inequality bounds and
+//!   makes no ε guarantee.
+//! * AMC on the barbell: its walk count grows with the walk length, which
+//!   grows with 1/gap. One barbell pair took 60 s in a debug build. The
+//!   planner never sends ε requests on slow-mixing graphs to AMC; the
+//!   override is checked on the other three graphs.
+
+use effective_resistance::graph::{generators, Graph, NodePairQuerySet};
+use effective_resistance::http::json::Json;
+use effective_resistance::index::AllPairsResistance;
+use effective_resistance::{
+    Accuracy, ApproxConfig, BackendChoice, GraphContext, HttpConfig, HttpServer, PlannerConfig,
+    Query, Request, ResistanceServer, ResistanceService, ServerConfig, ServerHandle, ServiceError,
+};
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::sync::OnceLock;
+
+/// Tolerance of `Exact` answers against the truth.
+const EXACT_TOL: f64 = 1e-6;
+
+/// The ε of the sampled paths; δ is the library default, 0.01.
+const EPS: f64 = 0.1;
+
+/// Pairs drawn per graph.
+const PAIRS: usize = 20;
+
+/// One ground-truth fixture: a graph, its all-pairs resistances and a
+/// seeded pair set.
+struct Case {
+    name: &'static str,
+    /// The graph, preprocessed once: Lanczos takes seconds per graph in a
+    /// debug build.
+    context: GraphContext,
+    truth: AllPairsResistance,
+    pairs: Vec<(usize, usize)>,
+}
+
+impl Case {
+    fn new(name: &'static str, graph: Graph, seed: u64) -> Case {
+        let truth = AllPairsResistance::compute(&graph).unwrap();
+        Case {
+            name,
+            context: GraphContext::preprocess(&graph).unwrap(),
+            truth,
+            pairs: uniform_pairs(&graph, PAIRS, seed),
+        }
+    }
+
+    fn service(&self) -> ResistanceService {
+        ResistanceService::from_context(self.context.clone(), config())
+    }
+
+    /// A service whose planner answers every ε pair request with GEER.
+    fn geer_routed_service(&self) -> ResistanceService {
+        self.service().with_planner_config(
+            PlannerConfig::default()
+                .with_exact_node_threshold(0)
+                .with_lambda_gap_threshold(0.0),
+        )
+    }
+
+    /// A two-worker server over the GEER-routed service, started paused
+    /// so a test can queue tickets before any runs.
+    fn server(&self) -> ServerHandle {
+        ResistanceServer::spawn(
+            self.geer_routed_service(),
+            ServerConfig {
+                workers: 2,
+                start_paused: true,
+                ..ServerConfig::default()
+            },
+        )
+    }
+}
+
+/// The fixtures, built once and shared by every test.
+fn cases() -> &'static [Case] {
+    static CASES: OnceLock<Vec<Case>> = OnceLock::new();
+    CASES.get_or_init(|| {
+        vec![
+            Case::new("ba", generators::barabasi_albert(150, 3, 11).unwrap(), 1),
+            Case::new("ws", generators::watts_strogatz(120, 6, 0.1, 5).unwrap(), 2),
+            Case::new(
+                "social",
+                generators::social_network_like(200, 8.0, 7).unwrap(),
+                3,
+            ),
+            Case::new("barbell", generators::barbell(8, 2).unwrap(), 4),
+        ]
+    })
+}
+
+fn uniform_pairs(graph: &Graph, count: usize, seed: u64) -> Vec<(usize, usize)> {
+    NodePairQuerySet::uniform(graph, count, seed)
+        .pairs()
+        .iter()
+        .map(|p| (p.s, p.t))
+        .collect()
+}
+
+fn config() -> ApproxConfig {
+    ApproxConfig::with_epsilon(EPS).reseeded(7)
+}
+
+fn epsilon(eps: f64) -> Accuracy {
+    Accuracy::Epsilon {
+        eps,
+        delta: config().delta,
+    }
+}
+
+fn pair(s: usize, t: usize, accuracy: Accuracy) -> Request {
+    Request::new(Query::pair(s, t)).with_accuracy(accuracy)
+}
+
+/// The most ε-misses `n` answers may show when each one misses with
+/// probability at most `delta`: the smallest `k` with
+/// `P[Bin(n, delta) > k] ≤ 1e-6`.
+fn allowed_misses(n: usize, delta: f64) -> usize {
+    let mut pmf = (1.0 - delta).powi(n as i32);
+    let mut cdf = pmf;
+    let mut k = 0;
+    while 1.0 - cdf > 1e-6 && k < n {
+        pmf *= (n - k) as f64 / (k + 1) as f64 * delta / (1.0 - delta);
+        k += 1;
+        cdf += pmf;
+    }
+    k
+}
+
+/// One path's ε answers, tallied against the truth.
+#[derive(Default)]
+struct EpsilonTally {
+    answers: usize,
+    misses: Vec<String>,
+}
+
+impl EpsilonTally {
+    fn check(&mut self, case: &Case, (s, t): (usize, usize), value: f64, eps: f64) {
+        let exact = case.truth.get(s, t);
+        self.answers += 1;
+        if (value - exact).abs() > eps {
+            let name = case.name;
+            self.misses
+                .push(format!("{name} ({s}, {t}): {value} vs {exact}"));
+        }
+    }
+
+    fn assert_rate(&self, path: &str) {
+        let allowed = allowed_misses(self.answers, config().delta);
+        assert!(
+            self.misses.len() <= allowed,
+            "{path}: {} of {} answers miss ε (allowed {allowed}): {:#?}",
+            self.misses.len(),
+            self.answers,
+            self.misses
+        );
+    }
+}
+
+fn assert_exact(case: &Case, path: &str, (s, t): (usize, usize), value: f64) {
+    let exact = case.truth.get(s, t);
+    assert!(
+        (value - exact).abs() <= EXACT_TOL,
+        "{path} on {} ({s}, {t}): {value} vs {exact}",
+        case.name
+    );
+}
+
+/// One `POST /query` on a kept-alive connection: the status and the JSON
+/// body.
+fn post_query(stream: &mut TcpStream, body: &str) -> (u16, Json) {
+    let raw = format!(
+        "POST /query HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    stream.write_all(raw.as_bytes()).unwrap();
+    let mut buf: Vec<u8> = Vec::new();
+    let mut chunk = [0u8; 4096];
+    let head_end = loop {
+        if let Some(end) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
+            break end;
+        }
+        let n = stream.read(&mut chunk).unwrap();
+        assert!(n > 0, "connection closed mid-head");
+        buf.extend_from_slice(&chunk[..n]);
+    };
+    let head = std::str::from_utf8(&buf[..head_end]).unwrap().to_string();
+    let status = head.split(' ').nth(1).unwrap().parse().unwrap();
+    let length: usize = head
+        .lines()
+        .find_map(|l| {
+            l.to_ascii_lowercase()
+                .strip_prefix("content-length:")
+                .map(str::to_string)
+        })
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap();
+    while buf.len() < head_end + 4 + length {
+        let n = stream.read(&mut chunk).unwrap();
+        assert!(n > 0, "connection closed mid-body");
+        buf.extend_from_slice(&chunk[..n]);
+    }
+    let body = std::str::from_utf8(&buf[head_end + 4..head_end + 4 + length]).unwrap();
+    (status, Json::parse(body).unwrap())
+}
+
+fn wire_value(reply: &Json) -> f64 {
+    reply.get("values").and_then(Json::as_array).unwrap()[0]
+        .as_f64()
+        .unwrap()
+}
+
+#[test]
+fn binomial_slack_matches_its_definition() {
+    assert_eq!(allowed_misses(1, 0.01), 1);
+    assert_eq!(allowed_misses(80, 0.01), 8);
+    assert_eq!(allowed_misses(100, 0.0), 0);
+}
+
+#[test]
+fn exact_paths_match_ground_truth() {
+    for case in cases() {
+        let service = case.service();
+        for &(s, t) in &case.pairs {
+            let request = pair(s, t, Accuracy::Exact);
+            let planned = service.submit(&request).unwrap();
+            assert_exact(case, planned.backend, (s, t), planned.value());
+            for choice in [
+                BackendChoice::ExactCg,
+                BackendChoice::ExactDense,
+                BackendChoice::Index,
+            ] {
+                let forced = service
+                    .submit(&request.clone().with_backend(choice))
+                    .unwrap();
+                assert_eq!(forced.backend, choice.name());
+                assert_exact(case, choice.name(), (s, t), forced.value());
+            }
+        }
+    }
+}
+
+#[test]
+fn epsilon_paths_meet_epsilon_at_rate_one_minus_delta() {
+    let overrides = [BackendChoice::Geer, BackendChoice::Amc, BackendChoice::Smm];
+    let mut planned = EpsilonTally::default();
+    let mut geer_routed = EpsilonTally::default();
+    let mut forced: Vec<EpsilonTally> = overrides.iter().map(|_| Default::default()).collect();
+    for case in cases() {
+        let default = case.service();
+        let routed = case.geer_routed_service();
+        for &(s, t) in &case.pairs {
+            let request = pair(s, t, epsilon(EPS));
+            let response = default.submit(&request).unwrap();
+            planned.check(case, (s, t), response.value(), EPS);
+            let response = routed.submit(&request).unwrap();
+            assert_eq!(response.backend, "GEER");
+            geer_routed.check(case, (s, t), response.value(), EPS);
+            for (tally, &choice) in forced.iter_mut().zip(&overrides) {
+                // AMC on the barbell is left out; see the module docs.
+                if choice == BackendChoice::Amc && case.name == "barbell" {
+                    continue;
+                }
+                let response = default
+                    .submit(&request.clone().with_backend(choice))
+                    .unwrap();
+                assert_eq!(response.backend, choice.name());
+                tally.check(case, (s, t), response.value(), EPS);
+            }
+        }
+    }
+    planned.assert_rate("default planner");
+    geer_routed.assert_rate("GEER-routed planner");
+    for (tally, choice) in forced.iter().zip(&overrides) {
+        tally.assert_rate(choice.name());
+    }
+}
+
+#[test]
+fn coalescing_server_meets_the_same_targets() {
+    let mut sampled = EpsilonTally::default();
+    for case in cases() {
+        // Paused workers let every ticket queue first, so the pairs are
+        // answered in coalesced batches.
+        let handle = case.server();
+        let tickets: Vec<_> = case
+            .pairs
+            .iter()
+            .flat_map(|&(s, t)| [pair(s, t, epsilon(EPS)), pair(s, t, Accuracy::Exact)])
+            .map(|request| handle.submit(request).unwrap())
+            .collect();
+        handle.resume();
+        let responses: Vec<_> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
+        for (&(s, t), answers) in case.pairs.iter().zip(responses.chunks(2)) {
+            assert_eq!(answers[0].backend, "GEER");
+            sampled.check(case, (s, t), answers[0].value(), EPS);
+            assert_exact(case, "server", (s, t), answers[1].value());
+        }
+        assert!(
+            handle.stats().coalesced_requests > 0,
+            "{}: nothing was coalesced",
+            case.name
+        );
+        handle.shutdown();
+    }
+    sampled.assert_rate("server");
+}
+
+#[test]
+fn http_query_meets_the_same_targets() {
+    let mut sampled = EpsilonTally::default();
+    for case in cases() {
+        let handle = case.server();
+        handle.resume();
+        let server = HttpServer::bind(handle, HttpConfig::default()).unwrap();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        for &(s, t) in &case.pairs {
+            let query = format!(r#""query":{{"type":"pair","s":{s},"t":{t}}}"#);
+            let (status, reply) = post_query(
+                &mut stream,
+                &format!(r#"{{{query},"accuracy":{{"type":"epsilon","eps":{EPS}}}}}"#),
+            );
+            assert_eq!(status, 200, "{reply:?}");
+            assert_eq!(reply.get("backend").and_then(Json::as_str), Some("GEER"));
+            sampled.check(case, (s, t), wire_value(&reply), EPS);
+            let (status, reply) = post_query(
+                &mut stream,
+                &format!(r#"{{{query},"accuracy":{{"type":"exact"}}}}"#),
+            );
+            assert_eq!(status, 200, "{reply:?}");
+            assert_exact(case, "http", (s, t), wire_value(&reply));
+        }
+        server.shutdown();
+    }
+    sampled.assert_rate("http");
+}
+
+#[test]
+fn coarse_epsilon_answers_never_serve_tighter_requests() {
+    let (coarse, fine) = (0.5, 0.05);
+    let mut tally = EpsilonTally::default();
+    for case in cases() {
+        let routed = case.geer_routed_service();
+        let forced = case.service();
+        let handle = case.server();
+        handle.resume();
+        for &(s, t) in &case.pairs[..5] {
+            let classes: [(&ResistanceService, Option<BackendChoice>); 2] =
+                [(&routed, None), (&forced, Some(BackendChoice::Geer))];
+            for (service, backend) in classes {
+                let with = |eps| {
+                    let request = pair(s, t, epsilon(eps));
+                    backend.map_or(request.clone(), |b| request.with_backend(b))
+                };
+                service.submit(&with(coarse)).unwrap();
+                let response = service.submit(&with(fine)).unwrap();
+                assert_eq!(response.backend, "GEER");
+                assert_eq!(response.backend_calls, 1, "{} ({s}, {t})", case.name);
+                assert_eq!(response.cache_hits, 0, "{} ({s}, {t})", case.name);
+                tally.check(case, (s, t), response.value(), fine);
+            }
+            handle
+                .submit(pair(s, t, epsilon(coarse)))
+                .unwrap()
+                .wait()
+                .unwrap();
+            let response = handle
+                .submit(pair(t, s, epsilon(fine)))
+                .unwrap()
+                .wait()
+                .unwrap();
+            assert_eq!(response.backend_calls, 1, "server {} ({s}, {t})", case.name);
+            tally.check(case, (s, t), response.value(), fine);
+        }
+        handle.shutdown();
+    }
+    tally.assert_rate("ε = 0.05 after ε = 0.5");
+}
+
+#[test]
+fn exact_with_a_sampling_override_is_a_typed_error() {
+    let case = cases().iter().find(|c| c.name == "social").unwrap();
+    let (s, t) = case.pairs[0];
+    for choice in [
+        BackendChoice::Geer,
+        BackendChoice::Amc,
+        BackendChoice::Landmark,
+    ] {
+        let request = pair(s, t, Accuracy::Exact).with_backend(choice);
+        let err = case.service().submit(&request).unwrap_err();
+        assert!(matches!(err, ServiceError::InvalidRequest { .. }), "{err}");
+    }
+
+    let handle = case.server();
+    handle.resume();
+    let request = pair(s, t, Accuracy::Exact).with_backend(BackendChoice::Geer);
+    let err = handle.submit(request).unwrap().wait().unwrap_err();
+    assert!(matches!(err, ServiceError::InvalidRequest { .. }), "{err}");
+
+    let server = HttpServer::bind(handle, HttpConfig::default()).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let query = format!(r#""query":{{"type":"pair","s":{s},"t":{t}}}"#);
+    let (status, reply) = post_query(
+        &mut stream,
+        &format!(r#"{{{query},"accuracy":{{"type":"exact"}},"backend":"geer"}}"#),
+    );
+    assert_eq!(status, 400, "{reply:?}");
+    assert_eq!(
+        reply.get("error").and_then(Json::as_str),
+        Some("invalid_request")
+    );
+    // The connection stays usable, and an exact override still answers.
+    let (status, reply) = post_query(
+        &mut stream,
+        &format!(r#"{{{query},"accuracy":{{"type":"exact"}},"backend":"exact-cg"}}"#),
+    );
+    assert_eq!(status, 200, "{reply:?}");
+    assert_exact(case, "http exact-cg", (s, t), wire_value(&reply));
+    server.shutdown();
+}
+
+/// One GEER batch holding every pair twice, once flipped, meets ε on every
+/// pair, and the flipped repeats come from the cache.
+#[test]
+fn batched_geer_queries_meet_epsilon_and_reuse_the_cache() {
+    let graph = generators::community_social_network(500, 10.0, 3, 0.02, 0xc20).unwrap();
+    let truth = AllPairsResistance::compute(&graph).unwrap();
+    let service = ResistanceService::with_config(&graph, ApproxConfig::with_epsilon(EPS)).unwrap();
+    let base = uniform_pairs(&graph, 6, 4);
+    let flipped: Vec<(usize, usize)> = base.iter().map(|&(s, t)| (t, s)).collect();
+    let workload = [base.clone(), flipped.clone()].concat();
+    let geer = |pairs: Vec<(usize, usize)>| {
+        Request::new(Query::batch(pairs)).with_backend(BackendChoice::Geer)
+    };
+    let response = service.submit(&geer(workload.clone())).unwrap();
+    assert_eq!(response.backend, "GEER");
+    assert_eq!(response.backend_calls as usize, base.len());
+    assert_eq!(response.cache_hits as usize, base.len());
+    for (&(s, t), &value) in workload.iter().zip(&response.values) {
+        let exact = truth.get(s, t);
+        assert!(
+            (value - exact).abs() <= EPS,
+            "batched value at ({s}, {t}): {value} vs {exact}"
+        );
+    }
+    // A later request for the flipped pairs is served by the cache alone.
+    let again = service.submit(&geer(flipped)).unwrap();
+    assert_eq!(again.backend_calls, 0);
+    assert_eq!(again.cache_hits as usize, base.len());
+    assert_eq!(again.values, response.values[base.len()..]);
+}

@@ -6,9 +6,7 @@ use effective_resistance::apps::{
     edge_criticality, estimate_kirchhoff_index, modularity, ClusteringConfig, ResistanceClustering,
 };
 use effective_resistance::graph::{generators, NodePairQuerySet};
-use effective_resistance::index::{
-    AllPairsResistance, BatchExecutor, ErIndex, LandmarkIndex, LandmarkSelection,
-};
+use effective_resistance::index::{AllPairsResistance, ErIndex, LandmarkIndex, LandmarkSelection};
 use effective_resistance::sparsify::{
     sample_sparsifier, EdgeScores, QualityEvaluator, SampleBudget, ScoreMethod,
 };
@@ -73,34 +71,6 @@ fn landmark_bounds_contain_both_truth_and_estimates() {
         assert!(approx <= bounds.upper + config.epsilon);
         // The midpoint estimate is a legitimate (if loose) approximation.
         assert!(bounds.estimate() >= 0.0);
-    }
-}
-
-#[test]
-fn batched_geer_queries_meet_epsilon_and_reuse_the_cache() {
-    let graph = shared_graph();
-    let ctx = GraphContext::preprocess(&graph).unwrap();
-    let config = ApproxConfig::with_epsilon(0.1);
-    let truth = GroundTruth::with_method(&graph, GroundTruthMethod::LaplacianSolve);
-    let mut geer = Geer::new(&ctx, config);
-    let mut executor = BatchExecutor::new(64);
-    let base: Vec<(usize, usize)> = NodePairQuerySet::uniform(&graph, 6, 4)
-        .pairs()
-        .iter()
-        .map(|p| (p.s, p.t))
-        .collect();
-    // Issue every pair twice (once flipped): half the workload must hit the cache.
-    let mut workload = base.clone();
-    workload.extend(base.iter().map(|&(s, t)| (t, s)));
-    let report = executor.run(&mut geer, &workload).unwrap();
-    assert_eq!(report.estimator_calls as usize, base.len());
-    assert_eq!(report.cache_hits as usize, base.len());
-    for (&(s, t), &value) in workload.iter().zip(&report.values) {
-        let exact = truth.resistance(s, t).unwrap();
-        assert!(
-            (value - exact).abs() <= config.epsilon,
-            "batched value at ({s}, {t}): {value} vs {exact}"
-        );
     }
 }
 
