@@ -239,7 +239,7 @@ fn query_stream(graph: &Graph, args: &ParsedArgs, path: &str) -> Result<String, 
     let _ = writeln!(
         out,
         "refreshes: snapshot {} ({} full + {} incremental) | service {} | sm-updates {} | cg-fallbacks {}",
-        dynamic.snapshot_rebuilds(),
+        dynamic.service_refreshes(),
         dynamic.snapshot_full_rebuilds(),
         dynamic.incremental_refreshes(),
         dynamic.service_refreshes(),

@@ -11,8 +11,8 @@
 //!
 //! * mutations are `O(log d)` sorted-vec insertions,
 //! * `degree`/`has_edge` are `O(log d)` lookups against base + deltas,
-//! * [`neighbors`](OverlayGraph::neighbors) merges the sorted base slice with
-//!   the deltas in `O(d)`,
+//! * [`for_each_neighbor`](OverlayGraph::for_each_neighbor) merges the
+//!   sorted base slice with the deltas in `O(d)`,
 //! * [`collapse`](OverlayGraph::collapse) materialises a fresh CSR in
 //!   `O(n + m)` — a sorted merge per node, with none of the global
 //!   re-sorting a [`crate::GraphBuilder`] rebuild pays.
@@ -85,15 +85,7 @@ impl OverlayGraph {
         self.num_edges
     }
 
-    /// Number of undirected edges recorded in the deltas (inserts plus
-    /// deletes since the base) — the "how dirty is this overlay" signal a
-    /// refresh policy keys on.
-    #[inline]
-    pub fn delta_edges(&self) -> usize {
-        self.delta_edges
-    }
-
-    /// Whether any deltas are recorded.
+    /// Whether the current edge set equals the base's (no deltas recorded).
     #[inline]
     pub fn is_clean(&self) -> bool {
         self.delta_edges == 0
@@ -204,13 +196,6 @@ impl OverlayGraph {
         }
     }
 
-    /// The current sorted neighbour list of `v`, allocated.
-    pub fn neighbors(&self, v: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(self.degree(v));
-        self.for_each_neighbor(v, |u| out.push(u));
-        out
-    }
-
     /// Materialises the current edge set as a fresh CSR [`Graph`] in
     /// `O(n + m)`: per-node sorted merges straight into the CSR arrays, no
     /// global edge sort.
@@ -233,31 +218,6 @@ impl OverlayGraph {
             });
         }
         Graph::from_csr(offsets, neighbors, self.num_edges)
-    }
-
-    /// Whether the current graph is connected (BFS over the merged
-    /// adjacency) — the cheap pre-check an incremental refresh runs before
-    /// spending Lanczos iterations on a graph a deletion may have split.
-    pub fn is_connected(&self) -> bool {
-        let n = self.num_nodes();
-        if n == 0 {
-            return true;
-        }
-        let mut seen = vec![false; n];
-        let mut queue = std::collections::VecDeque::new();
-        seen[0] = true;
-        queue.push_back(0);
-        let mut reached = 1;
-        while let Some(v) = queue.pop_front() {
-            self.for_each_neighbor(v, |u| {
-                if !seen[u] {
-                    seen[u] = true;
-                    reached += 1;
-                    queue.push_back(u);
-                }
-            });
-        }
-        reached == n
     }
 }
 
@@ -284,7 +244,7 @@ mod tests {
         assert!(o.has_edge(3, 0));
         assert_eq!(o.degree(0), 2);
         assert_eq!(o.num_edges(), 4);
-        assert_eq!(o.delta_edges(), 1);
+        assert!(!o.is_clean());
         // Removing the overlay add restores a clean overlay.
         assert!(o.remove_edge(3, 0));
         assert!(o.is_clean());
@@ -292,7 +252,7 @@ mod tests {
         // Removing a base edge records a delta; re-inserting clears it.
         assert!(o.remove_edge(1, 2));
         assert!(!o.has_edge(1, 2));
-        assert_eq!(o.delta_edges(), 1);
+        assert!(!o.is_clean());
         assert!(o.insert_edge(2, 1));
         assert!(o.is_clean());
         assert!(!o.remove_edge(0, 2), "absent edge");
@@ -305,7 +265,9 @@ mod tests {
         o.insert_edge(1, 2);
         o.insert_edge(1, 4);
         o.remove_edge(1, 3);
-        assert_eq!(o.neighbors(1), vec![0, 2, 4, 5]);
+        let mut merged = Vec::new();
+        o.for_each_neighbor(1, |u| merged.push(u));
+        assert_eq!(merged, vec![0, 2, 4, 5]);
         assert_eq!(o.degree(1), 4);
     }
 
@@ -341,15 +303,5 @@ mod tests {
         let (ro, rn) = rebuilt.csr();
         assert_eq!(co, ro);
         assert_eq!(cn, rn);
-    }
-
-    #[test]
-    fn connectivity_tracks_deletions() {
-        let mut o = overlay(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]);
-        assert!(o.is_connected());
-        o.remove_edge(2, 3);
-        assert!(!o.is_connected());
-        o.insert_edge(0, 3);
-        assert!(o.is_connected());
     }
 }

@@ -1,6 +1,5 @@
 //! Error type shared by the indexing layer.
 
-use er_core::EstimatorError;
 use er_graph::GraphError;
 use std::fmt;
 
@@ -10,8 +9,6 @@ pub enum IndexError {
     /// The underlying graph is invalid for the requested operation
     /// (out-of-range node, disconnected, bipartite, …).
     Graph(GraphError),
-    /// A wrapped per-query estimator failed.
-    Estimator(EstimatorError),
     /// The requested index configuration is invalid.
     InvalidConfiguration {
         /// Parameter at fault.
@@ -32,7 +29,6 @@ impl fmt::Display for IndexError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             IndexError::Graph(e) => write!(f, "graph error: {e}"),
-            IndexError::Estimator(e) => write!(f, "estimator error: {e}"),
             IndexError::InvalidConfiguration { name, message } => {
                 write!(f, "invalid index configuration `{name}`: {message}")
             }
@@ -47,7 +43,6 @@ impl std::error::Error for IndexError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             IndexError::Graph(e) => Some(e),
-            IndexError::Estimator(e) => Some(e),
             _ => None,
         }
     }
@@ -56,12 +51,6 @@ impl std::error::Error for IndexError {
 impl From<GraphError> for IndexError {
     fn from(e: GraphError) -> Self {
         IndexError::Graph(e)
-    }
-}
-
-impl From<EstimatorError> for IndexError {
-    fn from(e: EstimatorError) -> Self {
-        IndexError::Estimator(e)
     }
 }
 

@@ -1,7 +1,7 @@
 //! Indexing and workload layer on top of pairwise effective-resistance
 //! estimation.
 //!
-//! The paper's estimators ([`er_core::Geer`], [`er_core::Amc`]) answer one
+//! The paper's estimators (GEER and AMC in `er-core`) answer one
 //! ε-approximate pair query at a time with no preprocessing beyond the
 //! spectral bound λ. Real workloads wrap that primitive in recurring access
 //! patterns, which this crate provides:
@@ -15,8 +15,6 @@
 //! * [`LandmarkIndex`] — O(k)-per-query lower/upper bounds from `k` landmark
 //!   columns, exploiting that `√r` is a metric.
 //! * [`QueryCache`] — a bounded symmetric memo of pair answers.
-//! * [`DynamicEr`] — an editable graph with lazily refreshed spectral
-//!   preprocessing for insert/delete/query workloads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,7 +22,6 @@
 pub mod allpairs;
 pub mod cache;
 pub mod diagonal;
-pub mod dynamic;
 pub mod error;
 pub mod landmark;
 pub mod single_source;
@@ -32,7 +29,6 @@ pub mod single_source;
 pub use allpairs::AllPairsResistance;
 pub use cache::QueryCache;
 pub use diagonal::{pseudo_inverse_diagonal, DiagonalStrategy};
-pub use dynamic::DynamicEr;
 pub use error::IndexError;
 pub use landmark::{LandmarkBounds, LandmarkIndex, LandmarkSelection};
 pub use single_source::{

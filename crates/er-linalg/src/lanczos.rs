@@ -209,7 +209,7 @@ pub fn spectral_bounds(g: &Graph, max_iter: usize, seed: u64) -> (f64, f64) {
 /// [`spectral_bounds`] (same seeded start, same iteration). With a `start`
 /// carried over from the previous call on a slightly-mutated graph, a much
 /// smaller `max_iter` (a third of the cold budget) reaches the same accuracy
-/// — this is how the dynamic index refreshes λ after a mutation burst
+/// — this is how the dynamic service refreshes λ after a mutation burst
 /// without paying 120 cold iterations. On the dense exact path (n ≤ 256)
 /// there is no iteration to warm, so the returned vector is `None`.
 pub fn spectral_bounds_warm(

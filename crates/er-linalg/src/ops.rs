@@ -354,11 +354,11 @@ mod tests {
     #[test]
     fn overlay_laplacian_matches_collapsed_laplacian() {
         let g = generators::social_network_like(120, 6.0, 4).unwrap();
+        let removable = g.neighbors(3)[0];
         let mut overlay = OverlayGraph::new(std::sync::Arc::new(g));
         overlay.insert_edge(0, 60);
         overlay.insert_edge(7, 91);
-        let removable = overlay.neighbors(3);
-        overlay.remove_edge(3, removable[0]);
+        overlay.remove_edge(3, removable);
         let collapsed = overlay.collapse();
         let n = collapsed.num_nodes();
         let x: Vec<f64> = (0..n).map(|i| ((i * 29 + 3) % 13) as f64 / 13.0).collect();

@@ -259,11 +259,11 @@ mod tests {
         // After overlay mutations, the overlay solve must agree with a
         // ground-truth solve on the collapsed graph to solver precision.
         let g = generators::social_network_like(120, 6.0, 11).unwrap();
+        let removable = g.neighbors(10)[0];
         let mut overlay = er_graph::OverlayGraph::new(std::sync::Arc::new(g));
         overlay.insert_edge(2, 87);
         overlay.insert_edge(30, 55);
-        let nbrs = overlay.neighbors(10);
-        overlay.remove_edge(10, nbrs[0]);
+        overlay.remove_edge(10, removable);
         let collapsed = overlay.collapse();
         let n = collapsed.num_nodes();
         let mut b = vec![0.0; n];

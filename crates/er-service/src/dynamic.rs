@@ -1,10 +1,22 @@
 //! The query plane over an evolving graph.
 //!
-//! [`DynamicEr`] (er-index) manages an editable edge set with incrementally
-//! refreshed spectral preprocessing; [`DynamicResistanceService`] puts a
-//! [`ResistanceService`] in front of it with two mechanisms the static stack
-//! does not need:
+//! The paper's estimators assume a static graph plus one spectral
+//! preprocessing step (λ = max{|λ₂|, |λₙ|}). Applications such as anomaly
+//! detection on time-evolving graphs (cited in the paper's introduction via
+//! \[64\]) instead interleave edge insertions and deletions with queries.
+//! [`DynamicResistanceService`] keeps the evolving edge set in one
+//! [`OverlayGraph`] over the installed epoch's CSR, and answers queries from
+//! epochs, each an immutable [`ResistanceService`] over one snapshot:
 //!
+//! * **Refresh.** Mutations only edit the overlay. The first query after a
+//!   burst installs the next epoch. Usually that is an *incremental*
+//!   refresh: the overlay collapses to a fresh CSR in `O(n + m)`, and λ is
+//!   re-estimated by Lanczos warm-started from the previous Ritz vector, at
+//!   a third of the cold budget. The first refresh, and the first one after
+//!   every K mutations ([`with_refresh_interval`]), is a *full* rebuild
+//!   instead: cold-start Lanczos, and all carried state dropped, so its
+//!   answers are bit-identical to a service built from scratch on the
+//!   mutated graph. Drift from chained incremental refreshes is bounded by K.
 //! * **Epoch swap.** The live service is an `Arc<ServiceEpoch>` held in a
 //!   swap slot. Queries clone the `Arc` and answer on it; mutations advance
 //!   a version counter, and the *next* query that finds the slot stale
@@ -15,18 +27,15 @@
 //!   state (the resident L⁺ diagonal and columns, plus any landmark
 //!   distance table), each edge mutation advances that state in `O(n)` per
 //!   resident vector via [`RankOneUpdate`] instead of discarding it. The
-//!   next epoch is then assembled around the carried state, so mid-burst
-//!   refreshes never re-run the `O(n·solves)` index build. Every K-th
-//!   snapshot refresh is a full cold rebuild (see
-//!   [`DynamicEr::with_refresh_interval`]) that drops the carried state:
-//!   post-refresh answers are bit-identical to a cold rebuild, and drift
-//!   between refreshes is bounded by the K-interval.
+//!   next incremental epoch is assembled around the carried state, so
+//!   mid-burst refreshes never re-run the `O(n·solves)` index build.
 //!
 //! Deletions whose Sherman–Morrison denominator `1 − r(u, v)` is too small
 //! (bridges and near-bridges) refuse the rank-1 path: the carried state is
 //! dropped and the next refresh re-solves with CG ([`cg_fallbacks`]
 //! counts these).
 //!
+//! [`with_refresh_interval`]: DynamicResistanceService::with_refresh_interval
 //! [`cg_fallbacks`]: DynamicResistanceService::cg_fallbacks
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,10 +46,10 @@ use crate::error::ServiceError;
 use crate::query::{Query, Request};
 use crate::response::Response;
 use crate::service::ResistanceService;
-use er_core::ApproxConfig;
-use er_graph::{Graph, NodeId};
-use er_index::{DynamicEr, LandmarkIndex};
-use er_linalg::{solve_overlay_laplacian, RankOneUpdate};
+use er_core::{ApproxConfig, GraphContext};
+use er_graph::{analysis, Graph, NodeId, OverlayGraph};
+use er_index::{IndexError, LandmarkIndex};
+use er_linalg::{solve_overlay_laplacian, spectral_bounds_warm, LaplacianSolver, RankOneUpdate};
 
 /// Deletion denominator floor for *carried-state* updates. Looser than
 /// [`er_linalg::MIN_DELETE_DENOMINATOR`]: carried state is advanced through
@@ -51,6 +60,9 @@ const CARRIED_DELETE_FLOOR: f64 = 1e-3;
 /// CG tolerance used when the update vector `w = L⁺(e_u − e_v)` has to be
 /// solved fresh (endpoint columns not resident).
 const UPDATE_SOLVE_TOLERANCE: f64 = 1e-8;
+
+/// Seed of every refresh's Lanczos run, cold or warm.
+const LANCZOS_SEED: u64 = 0xd1a;
 
 /// One immutable snapshot of the serving stack: the service plus the graph
 /// version it was built for. Readers that clone the `Arc` keep a consistent
@@ -86,21 +98,37 @@ struct CarriedState {
     /// back from the stored `√r` so [`RankOneUpdate::apply_resistance`]
     /// applies directly).
     landmarks: Option<(Vec<NodeId>, Vec<Vec<f64>>)>,
-    /// Whether the state came from an exact-solve build (harvested from a
-    /// live epoch) and may be re-installed into the next epoch. Seeded
-    /// benchmark state (`seed_index_state`) is maintained and measured but
-    /// never installed.
-    exact: bool,
 }
 
-/// The single-writer side: the editable graph plus carried state and
-/// counters. Guarded by `DynamicResistanceService::inner`.
+/// The single-writer side: the edge set, the refresh state, the carried
+/// state and the counters. Guarded by `DynamicResistanceService::inner`.
 struct Updater {
-    dynamic: DynamicEr,
+    /// The current edge set: the last installed epoch's CSR (the input
+    /// graph before the first) plus the mutations since.
+    overlay: OverlayGraph,
+    mutations_since_full: u64,
+    /// Ritz vector of the last Lanczos run, warm-starting the next
+    /// incremental refresh.
+    warm_ritz: Option<Vec<f64>>,
     carried: Option<CarriedState>,
+    full_rebuilds: u64,
+    incremental_refreshes: u64,
     sm_updates: u64,
     cg_fallbacks: u64,
-    service_refreshes: u64,
+}
+
+impl Updater {
+    /// Whether the next refresh is a full cold rebuild: the first refresh
+    /// (no epoch exists yet), or the first after `refresh_interval`
+    /// mutations since the last full one. A full rebuild serves exactly what
+    /// a cold service would, so choosing one drops the carried state.
+    fn refresh_is_full(&mut self, refresh_interval: u64) -> bool {
+        let full = self.full_rebuilds == 0 || self.mutations_since_full >= refresh_interval;
+        if full {
+            self.carried = None;
+        }
+        full
+    }
 }
 
 /// A [`ResistanceService`] over an editable graph, epoch-swapped so queries
@@ -122,7 +150,11 @@ struct Updater {
 /// ```
 pub struct DynamicResistanceService {
     config: ApproxConfig,
-    /// Mirror of `dynamic.version()`, readable without the updater lock.
+    /// The drift cap K: a full rebuild once this many mutations have passed
+    /// since the last one.
+    refresh_interval: u64,
+    /// Bumped by every successful mutation under the updater lock; readable
+    /// without it.
     version: AtomicU64,
     inner: Mutex<Updater>,
     /// The swap slot. Held only long enough to clone or replace the `Arc`.
@@ -130,60 +162,37 @@ pub struct DynamicResistanceService {
 }
 
 impl DynamicResistanceService {
-    /// Creates a dynamic service from an initial edge list.
-    pub fn new(
-        num_nodes: usize,
-        edges: impl IntoIterator<Item = (NodeId, NodeId)>,
-        config: ApproxConfig,
-    ) -> Self {
+    /// Default drift cap: one full (bit-identical, cold-path) rebuild per
+    /// this many mutations; refreshes in between are incremental.
+    pub const DEFAULT_REFRESH_INTERVAL: u64 = 64;
+
+    /// Creates a dynamic service over a copy of `graph`. The first epoch
+    /// serves that copy as it is.
+    pub fn from_graph(graph: &Graph, config: ApproxConfig) -> Self {
         DynamicResistanceService {
             config,
+            refresh_interval: Self::DEFAULT_REFRESH_INTERVAL,
             version: AtomicU64::new(0),
             inner: Mutex::new(Updater {
-                dynamic: DynamicEr::new(num_nodes, edges, config),
+                overlay: OverlayGraph::new(Arc::new(graph.clone())),
+                mutations_since_full: 0,
+                warm_ritz: None,
                 carried: None,
+                full_rebuilds: 0,
+                incremental_refreshes: 0,
                 sm_updates: 0,
                 cg_fallbacks: 0,
-                service_refreshes: 0,
             }),
             epoch: Mutex::new(None),
         }
     }
 
-    /// Creates a dynamic service seeded from an existing static graph.
-    pub fn from_graph(graph: &Graph, config: ApproxConfig) -> Self {
-        Self::new(graph.num_nodes(), graph.edges(), config)
-    }
-
-    /// Full cold rebuild every `interval` mutations (see
-    /// [`DynamicEr::with_refresh_interval`]); intermediate refreshes are
-    /// incremental.
-    pub fn with_refresh_interval(self, interval: u64) -> Self {
-        let DynamicResistanceService {
-            config,
-            version,
-            inner,
-            epoch,
-        } = self;
-        let Updater {
-            dynamic,
-            carried,
-            sm_updates,
-            cg_fallbacks,
-            service_refreshes,
-        } = inner.into_inner().expect("updater lock poisoned");
-        DynamicResistanceService {
-            config,
-            version,
-            inner: Mutex::new(Updater {
-                dynamic: dynamic.with_refresh_interval(interval),
-                carried,
-                sm_updates,
-                cg_fallbacks,
-                service_refreshes,
-            }),
-            epoch,
-        }
+    /// Sets the drift cap K: a full cold rebuild once `interval` mutations
+    /// have passed since the last one; refreshes in between are incremental.
+    /// `interval = 1` makes every refresh after a mutation a full rebuild.
+    pub fn with_refresh_interval(mut self, interval: u64) -> Self {
+        self.refresh_interval = interval.max(1);
+        self
     }
 
     fn lock_inner(&self) -> MutexGuard<'_, Updater> {
@@ -194,53 +203,50 @@ impl DynamicResistanceService {
         self.epoch.lock().expect("epoch slot poisoned")
     }
 
-    /// Inserts the undirected edge `{u, v}` (see [`DynamicEr::insert_edge`]).
+    /// Inserts the undirected edge `{u, v}`. Returns `true` if the edge was
+    /// not already present; self-loops are rejected with `false`, and
+    /// out-of-range nodes with an error.
     pub fn insert_edge(&self, u: NodeId, v: NodeId) -> Result<bool, ServiceError> {
         self.mutate(u, v, true)
     }
 
-    /// Removes the undirected edge `{u, v}` (see [`DynamicEr::remove_edge`]).
+    /// Removes the undirected edge `{u, v}`. Returns `true` if it was
+    /// present; out-of-range nodes are an error.
     pub fn remove_edge(&self, u: NodeId, v: NodeId) -> Result<bool, ServiceError> {
         self.mutate(u, v, false)
     }
 
     fn mutate(&self, u: NodeId, v: NodeId, insert: bool) -> Result<bool, ServiceError> {
         let mut inner = self.lock_inner();
-        let n = inner.dynamic.num_nodes();
-        let will_change = u < n && v < n && u != v && (insert != inner.dynamic.has_edge(u, v));
-        if will_change {
-            self.harvest_carried(&mut inner);
-            let update = self.prepare_update(&mut inner, u, v, insert);
-            let changed = if insert {
-                inner.dynamic.insert_edge(u, v)?
-            } else {
-                inner.dynamic.remove_edge(u, v)?
-            };
-            debug_assert!(changed);
-            self.apply_carried_update(&mut inner, update);
-            self.version
-                .store(inner.dynamic.version(), Ordering::Release);
-            Ok(changed)
-        } else {
-            // No-ops and out-of-range arguments keep DynamicEr's semantics
-            // (Ok(false) / Err) and touch no serving state.
-            Ok(if insert {
-                inner.dynamic.insert_edge(u, v)?
-            } else {
-                inner.dynamic.remove_edge(u, v)?
-            })
+        let graph = inner.overlay.base();
+        graph
+            .check_node(u)
+            .and_then(|()| graph.check_node(v))
+            .map_err(IndexError::Graph)?;
+        if u == v || insert == inner.overlay.has_edge(u, v) {
+            return Ok(false);
         }
+        self.harvest_carried(&mut inner);
+        let update = self.prepare_update(&mut inner, u, v, insert);
+        if insert {
+            inner.overlay.insert_edge(u, v);
+        } else {
+            inner.overlay.remove_edge(u, v);
+        }
+        inner.mutations_since_full += 1;
+        self.apply_carried_update(&mut inner, update);
+        self.version.fetch_add(1, Ordering::Release);
+        Ok(true)
     }
 
     /// Harvests INDEX-tier state from the installed epoch, if that epoch is
-    /// current (pre-mutation) and nothing is carried yet. Harvested state is
-    /// exact-solve grade, so it may be re-installed into later epochs.
+    /// current (pre-mutation) and nothing is carried yet.
     fn harvest_carried(&self, inner: &mut Updater) {
         if inner.carried.is_some() {
             return;
         }
-        let epoch = match self.lock_epoch().clone() {
-            Some(epoch) if epoch.version() == inner.dynamic.version() => epoch,
+        let epoch = match self.epoch() {
+            Some(epoch) if epoch.version() == self.version() => epoch,
             _ => return,
         };
         let Some(index) = epoch.service().index_backend() else {
@@ -268,7 +274,6 @@ impl DynamicResistanceService {
             column_capacity: index.column_capacity(),
             build_solves: index.build_solves(),
             landmarks,
-            exact: true,
         });
     }
 
@@ -314,13 +319,12 @@ impl DynamicResistanceService {
         if let (Some(cu), Some(cv)) = (col(u), col(v)) {
             return Some(cu.iter().zip(cv).map(|(a, b)| a - b).collect());
         }
-        let n = inner.dynamic.num_nodes();
-        let overlay = inner.dynamic.overlay()?;
+        let n = inner.overlay.num_nodes();
         let mut b = vec![0.0; n];
         b[u] = 1.0;
         b[v] = -1.0;
         let (w, outcome) =
-            solve_overlay_laplacian(overlay, &b, UPDATE_SOLVE_TOLERANCE, n.max(1000));
+            solve_overlay_laplacian(&inner.overlay, &b, UPDATE_SOLVE_TOLERANCE, n.max(1000));
         outcome.converged.then_some(w)
     }
 
@@ -345,12 +349,12 @@ impl DynamicResistanceService {
 
     /// Whether the undirected edge `{u, v}` is currently present.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.lock_inner().dynamic.has_edge(u, v)
+        self.lock_inner().overlay.has_edge(u, v)
     }
 
     /// Number of undirected edges currently present.
     pub fn num_edges(&self) -> usize {
-        self.lock_inner().dynamic.num_edges()
+        self.lock_inner().overlay.num_edges()
     }
 
     /// Monotone counter bumped by every successful mutation.
@@ -358,29 +362,23 @@ impl DynamicResistanceService {
         self.version.load(Ordering::Acquire)
     }
 
-    /// Snapshot refreshes the underlying [`DynamicEr`] has performed (full
-    /// rebuilds plus incremental overlay refreshes).
-    pub fn snapshot_rebuilds(&self) -> u64 {
-        self.lock_inner().dynamic.rebuilds()
-    }
-
-    /// Snapshot refreshes that were full cold rebuilds (CSR + 120-iteration
-    /// Lanczos from scratch); these reset drift and restore bit-identity.
+    /// Refreshes that were full cold rebuilds (CSR plus cold-start Lanczos);
+    /// these reset drift and restore bit-identity with a cold build.
     pub fn snapshot_full_rebuilds(&self) -> u64 {
-        self.lock_inner().dynamic.full_rebuilds()
+        self.lock_inner().full_rebuilds
     }
 
-    /// Snapshot refreshes that were incremental (overlay collapse +
-    /// warm-started Lanczos).
+    /// Refreshes that were incremental (overlay collapse plus warm-started
+    /// Lanczos).
     pub fn incremental_refreshes(&self) -> u64 {
-        self.lock_inner().dynamic.incremental_refreshes()
+        self.lock_inner().incremental_refreshes
     }
 
-    /// Service epochs installed so far (each wraps one snapshot refresh in a
-    /// fresh planner/cache/backend stack, re-using carried INDEX state when
-    /// available).
+    /// Epochs installed so far: every refresh, full or incremental, installs
+    /// one fresh planner/cache/backend stack.
     pub fn service_refreshes(&self) -> u64 {
-        self.lock_inner().service_refreshes
+        let inner = self.lock_inner();
+        inner.full_rebuilds + inner.incremental_refreshes
     }
 
     /// Mutations whose resident INDEX state was advanced by a rank-1
@@ -394,13 +392,6 @@ impl DynamicResistanceService {
     /// fresh CG solves at the next refresh.
     pub fn cg_fallbacks(&self) -> u64 {
         self.lock_inner().cg_fallbacks
-    }
-
-    /// Total refresh work paid so far. Kept for back-compatibility; prefer
-    /// the split [`snapshot_rebuilds`](Self::snapshot_rebuilds) /
-    /// [`service_refreshes`](Self::service_refreshes) counters.
-    pub fn rebuilds(&self) -> u64 {
-        self.snapshot_rebuilds()
     }
 
     /// The currently installed epoch, if any, without triggering a refresh.
@@ -422,8 +413,7 @@ impl DynamicResistanceService {
     /// (readers never block on a mutation burst). Blocks only when no epoch
     /// has ever been installed.
     fn current_epoch(&self) -> Result<Arc<ServiceEpoch>, ServiceError> {
-        let pinned = self.lock_epoch().clone();
-        if let Some(epoch) = pinned {
+        if let Some(epoch) = self.epoch() {
             if epoch.version() == self.version() {
                 return Ok(epoch);
             }
@@ -434,28 +424,49 @@ impl DynamicResistanceService {
                 Err(_) => Ok(epoch),
             };
         }
-        let mut inner = self.lock_inner();
-        self.refresh_locked(&mut inner)
+        self.refresh()
     }
 
-    /// Builds and installs the epoch for `inner`'s current version. Reuses
-    /// carried INDEX state for incremental refreshes; a full snapshot
-    /// rebuild drops it so the new epoch is bit-identical to a cold build.
+    /// Builds and installs the epoch for the current version: a new CSR
+    /// from the overlay, λ by cold or warm-started Lanczos, and a service
+    /// around carried INDEX state when an incremental refresh has some.
     fn refresh_locked(&self, inner: &mut Updater) -> Result<Arc<ServiceEpoch>, ServiceError> {
-        let version = inner.dynamic.version();
-        if let Some(epoch) = self.lock_epoch().clone() {
-            if epoch.version() == version {
-                return Ok(epoch);
-            }
+        let version = self.version();
+        if let Some(epoch) = self.epoch().filter(|epoch| epoch.version() == version) {
+            return Ok(epoch);
         }
-        let context = inner.dynamic.context()?;
-        let graph = Arc::clone(context.graph_arc());
+        let full = inner.refresh_is_full(self.refresh_interval);
+        // A clean overlay's base is already canonical CSR (the input graph
+        // or the last epoch's); a collapse is identical to a `GraphBuilder`
+        // rebuild of the same edge set.
+        let graph = if inner.overlay.is_clean() {
+            Arc::clone(inner.overlay.base())
+        } else {
+            Arc::new(inner.overlay.collapse())
+        };
+        analysis::validate_ergodic(&graph).map_err(IndexError::Graph)?;
+        let (iterations, start) = if full {
+            (GraphContext::DEFAULT_LANCZOS_ITERATIONS, None)
+        } else {
+            (
+                GraphContext::DEFAULT_LANCZOS_ITERATIONS / 3,
+                inner.warm_ritz.as_deref(),
+            )
+        };
+        let ((l2, ln), ritz) = spectral_bounds_warm(&graph, iterations, LANCZOS_SEED, start);
+        let lambda = l2.abs().max(ln.abs()).clamp(1e-9, 1.0 - 1e-9);
+        let context = GraphContext::with_lambda(Arc::clone(&graph), lambda)?;
+        inner.warm_ritz = ritz;
+        if full {
+            inner.full_rebuilds += 1;
+            inner.mutations_since_full = 0;
+        } else {
+            inner.incremental_refreshes += 1;
+        }
+        inner.overlay = OverlayGraph::new(Arc::clone(&graph));
+
         let mut service = ResistanceService::from_context(context, self.config);
-        if inner.dynamic.last_refresh_was_full() {
-            // Bit-identity contract: a full rebuild serves exactly what a
-            // cold service would, so all carried state is discarded.
-            inner.carried = None;
-        } else if let Some(carried) = inner.carried.as_ref().filter(|c| c.exact) {
+        if let Some(carried) = &inner.carried {
             let backend = IndexBackend::from_parts(
                 graph,
                 carried.diagonal.clone(),
@@ -473,10 +484,8 @@ impl DynamicResistanceService {
                 service = service.with_prebuilt_landmarks(Arc::new(LandmarkBackend::new(index)));
             }
         }
-        inner.service_refreshes += 1;
         let epoch = Arc::new(ServiceEpoch { version, service });
         *self.lock_epoch() = Some(Arc::clone(&epoch));
-        self.version.store(version, Ordering::Release);
         Ok(epoch)
     }
 
@@ -495,75 +504,24 @@ impl DynamicResistanceService {
             .value())
     }
 
-    /// Exact resistance on the current snapshot (CG solve), for callers that
-    /// want ground truth after a mutation burst.
+    /// Exact resistance on the current graph (CG solve), for callers that
+    /// want ground truth after a mutation burst. Refreshes like a query
+    /// does, so the answer comes from the epoch of the current version.
     pub fn resistance_exact(&self, s: NodeId, t: NodeId) -> Result<f64, ServiceError> {
-        Ok(self.lock_inner().dynamic.resistance_exact(s, t)?)
-    }
-
-    /// Seeds carried INDEX-tier state directly (benchmark seam). The state
-    /// must describe the *current* graph: `diagonal` is `diag(L⁺)` (length
-    /// `n`) and each `(source, column)` is a centred `L⁺ e_source`. Seeded
-    /// state is advanced by Sherman–Morrison on every mutation and readable
-    /// through [`carried_diagonal`](Self::carried_diagonal) /
-    /// [`carried_column`](Self::carried_column), but — unlike state
-    /// harvested from a live epoch — it is never installed into a serving
-    /// epoch, because its provenance (e.g. Hutchinson probes) may be below
-    /// exact-solve grade.
-    ///
-    /// # Panics
-    /// Panics if a vector length differs from the node count.
-    pub fn seed_index_state(
-        &self,
-        diagonal: Vec<f64>,
-        columns: Vec<(NodeId, Vec<f64>)>,
-    ) -> Result<(), ServiceError> {
-        let mut inner = self.lock_inner();
-        // Materialize the snapshot (and its mutation overlay) so that
-        // `w`-solves for non-resident endpoints have something to solve on.
-        inner.dynamic.context()?;
-        let n = inner.dynamic.num_nodes();
-        assert_eq!(diagonal.len(), n, "seeded diagonal must have length n");
-        assert!(
-            columns.iter().all(|(s, c)| *s < n && c.len() == n),
-            "seeded columns must be in-range and length n"
-        );
-        let column_capacity = columns.len().max(1);
-        inner.carried = Some(CarriedState {
-            diagonal,
-            columns,
-            column_capacity,
-            build_solves: 0,
-            landmarks: None,
-            exact: false,
-        });
-        Ok(())
-    }
-
-    /// The carried L⁺ diagonal, if any state is resident (introspection for
-    /// tests and benches).
-    pub fn carried_diagonal(&self) -> Option<Vec<f64>> {
-        self.lock_inner()
-            .carried
-            .as_ref()
-            .map(|c| c.diagonal.clone())
-    }
-
-    /// The carried L⁺ column for `source`, if resident.
-    pub fn carried_column(&self, source: NodeId) -> Option<Vec<f64>> {
-        self.lock_inner().carried.as_ref().and_then(|c| {
-            c.columns
-                .iter()
-                .find(|(s, _)| *s == source)
-                .map(|(_, column)| column.clone())
-        })
+        let epoch = self.refresh()?;
+        let graph = epoch.service().context().graph();
+        graph
+            .check_node(s)
+            .and_then(|()| graph.check_node(t))
+            .map_err(IndexError::Graph)?;
+        Ok(LaplacianSolver::for_ground_truth(graph).effective_resistance(s, t))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use er_graph::generators;
+    use er_graph::{generators, GraphBuilder};
 
     fn config() -> ApproxConfig {
         ApproxConfig {
@@ -577,38 +535,54 @@ mod tests {
         let g = generators::social_network_like(300, 10.0, 7).unwrap();
         let dynamic = DynamicResistanceService::from_graph(&g, config());
         let approx = dynamic.resistance(5, 200).unwrap();
-        let exact = dynamic.resistance_exact(5, 200).unwrap();
-        assert!((approx - exact).abs() <= config().epsilon);
+        let exact_before = dynamic.resistance_exact(5, 200).unwrap();
+        assert!((approx - exact_before).abs() <= config().epsilon);
         dynamic.insert_edge(5, 200).unwrap();
         dynamic.insert_edge(5, 201).unwrap();
         let approx = dynamic.resistance(5, 200).unwrap();
         let exact = dynamic.resistance_exact(5, 200).unwrap();
         assert!((approx - exact).abs() <= config().epsilon);
+        assert!(exact < exact_before, "Rayleigh monotonicity");
         assert!(dynamic.has_edge(5, 201));
+        assert_eq!(dynamic.num_edges(), g.num_edges() + 2);
     }
 
     #[test]
     fn service_is_refreshed_once_per_mutation_burst() {
         let g = generators::complete(30).unwrap();
         let dynamic = DynamicResistanceService::from_graph(&g, config());
+        assert_eq!(dynamic.service_refreshes(), 0, "construction is lazy");
         dynamic.resistance(0, 5).unwrap();
         let first = dynamic.version();
         // Same version: the epoch (and its cache) is reused — a repeat of
         // the query is a cache hit, not a recomputation.
+        let pinned = dynamic.refresh().unwrap();
+        assert!(Arc::ptr_eq(&pinned, &dynamic.refresh().unwrap()));
         let repeat = dynamic
             .submit(&Request::new(Query::pair(0, 5)).with_accuracy(config().into()))
             .unwrap();
         assert_eq!(repeat.backend_calls, 0, "served from the cache tier");
         dynamic.insert_edge(0, 9).unwrap_or(false);
         dynamic.remove_edge(2, 3).unwrap();
+        dynamic.remove_edge(4, 5).unwrap();
         assert!(dynamic.version() > first);
-        // After the burst, the next query installs a new epoch and
-        // recomputes.
+        assert_eq!(
+            dynamic.service_refreshes(),
+            1,
+            "mutations alone do not refresh"
+        );
+        // After the burst, the next query installs a new epoch, over a new
+        // graph, and recomputes.
         let fresh = dynamic
             .submit(&Request::new(Query::pair(0, 5)).with_accuracy(config().into()))
             .unwrap();
         assert_eq!(fresh.backend_calls, 1, "cache was dropped with the swap");
         assert_eq!(dynamic.service_refreshes(), 2);
+        let epoch = dynamic.epoch().unwrap();
+        assert!(!Arc::ptr_eq(
+            pinned.service().context().graph_arc(),
+            epoch.service().context().graph_arc()
+        ));
     }
 
     #[test]
@@ -616,13 +590,115 @@ mod tests {
         let g = generators::social_network_like(200, 8.0, 1).unwrap();
         let dynamic = DynamicResistanceService::from_graph(&g, config());
         let before = dynamic.resistance(3, 150).unwrap();
+        let exact_before = dynamic.resistance_exact(3, 150).unwrap();
         dynamic.insert_edge(3, 150).unwrap();
         let after = dynamic.resistance(3, 150).unwrap();
+        let exact_after = dynamic.resistance_exact(3, 150).unwrap();
         assert!(after < before + config().epsilon);
         assert!(
             after <= 1.0 + config().epsilon,
             "edge endpoints have r <= 1"
         );
+        assert!(exact_after < exact_before && exact_after <= 1.0 + 1e-9);
+
+        // Removing an edge can only raise its resistance.
+        let complete =
+            DynamicResistanceService::from_graph(&generators::complete(20).unwrap(), config());
+        let before = complete.resistance_exact(0, 1).unwrap();
+        assert!(complete.remove_edge(0, 1).unwrap());
+        assert!(complete.resistance_exact(0, 1).unwrap() > before);
+    }
+
+    #[test]
+    fn refreshes_are_incremental_until_the_drift_cap() {
+        let g = generators::social_network_like(100, 6.0, 2).unwrap();
+        let dynamic = DynamicResistanceService::from_graph(&g, config()).with_refresh_interval(3);
+        dynamic.refresh().unwrap();
+        assert_eq!(dynamic.snapshot_full_rebuilds(), 1, "first build is full");
+        assert_eq!(dynamic.incremental_refreshes(), 0);
+
+        // One mutation -> the refresh is incremental (1 < K = 3).
+        dynamic.insert_edge(0, 50).unwrap();
+        dynamic.refresh().unwrap();
+        assert_eq!(dynamic.incremental_refreshes(), 1);
+        assert_eq!(dynamic.snapshot_full_rebuilds(), 1);
+
+        // Two more reach the cap -> full rebuild. A ground-truth read
+        // refreshes through the same path as a query.
+        dynamic.insert_edge(1, 51).unwrap();
+        dynamic.insert_edge(2, 52).unwrap();
+        dynamic.resistance_exact(0, 50).unwrap();
+        assert_eq!(dynamic.snapshot_full_rebuilds(), 2);
+        assert_eq!(dynamic.incremental_refreshes(), 1);
+        assert_eq!(dynamic.service_refreshes(), 3);
+
+        // The cap counts from the last full rebuild.
+        assert!(dynamic.insert_edge(3, 53).unwrap());
+        dynamic.refresh().unwrap();
+        assert_eq!(dynamic.snapshot_full_rebuilds(), 2);
+        assert_eq!(dynamic.incremental_refreshes(), 2);
+    }
+
+    #[test]
+    fn incremental_snapshot_matches_a_cold_build() {
+        // The incremental path (overlay collapse + warm Lanczos) must agree
+        // with a cold build on the same edge set: identical CSR and a λ
+        // within Lanczos accuracy. n > 256 so Lanczos really warm-starts.
+        let g = generators::social_network_like(300, 8.0, 5).unwrap();
+        let dynamic =
+            DynamicResistanceService::from_graph(&g, config()).with_refresh_interval(1000);
+        dynamic.refresh().unwrap();
+        dynamic.insert_edge(7, 200).unwrap();
+        dynamic.insert_edge(40, 180).unwrap();
+        dynamic.remove_edge(7, 200).unwrap();
+        let warm = dynamic.refresh().unwrap();
+        assert_eq!(dynamic.incremental_refreshes(), 1);
+
+        let mutated: Vec<_> = g.edges().chain([(40, 180)]).collect();
+        let mutated = GraphBuilder::from_edges(300, mutated).build().unwrap();
+        let cold = DynamicResistanceService::from_graph(&mutated, config());
+        let cold = cold.refresh().unwrap();
+        let (warm, cold) = (warm.service().context(), cold.service().context());
+        assert_eq!(warm.graph().csr(), cold.graph().csr());
+        assert!(
+            (warm.lambda() - cold.lambda()).abs() < 1e-6,
+            "warm λ {} vs cold λ {}",
+            warm.lambda(),
+            cold.lambda()
+        );
+    }
+
+    #[test]
+    fn mutation_bookkeeping_and_validation() {
+        let edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)];
+        let g = GraphBuilder::from_edges(5, edges).build().unwrap();
+        let dynamic = DynamicResistanceService::from_graph(&g, config());
+        assert_eq!(dynamic.num_edges(), 6);
+        assert!(dynamic.has_edge(1, 0));
+        assert!(!dynamic.insert_edge(0, 1).unwrap(), "already present");
+        assert!(!dynamic.insert_edge(3, 3).unwrap(), "self-loop rejected");
+        assert!(!dynamic.remove_edge(0, 4).unwrap(), "absent edge");
+        assert!(matches!(
+            dynamic.insert_edge(0, 9),
+            Err(ServiceError::Index(IndexError::Graph(_)))
+        ));
+        assert!(dynamic.resistance_exact(0, 9).is_err(), "out of range");
+        assert_eq!(dynamic.version(), 0, "no-ops do not bump the version");
+        assert!(dynamic.insert_edge(0, 3).unwrap());
+        assert_eq!(dynamic.version(), 1);
+        assert!(dynamic.has_edge(3, 0), "pending mutations are visible");
+
+        // Cutting node 4 loose is reported, and the failed refresh leaves
+        // the state intact: reconnecting recovers.
+        assert!(dynamic.remove_edge(3, 4).unwrap());
+        assert!(dynamic.remove_edge(4, 2).unwrap());
+        assert!(matches!(
+            dynamic.resistance_exact(0, 3),
+            Err(ServiceError::Index(IndexError::Graph(_)))
+        ));
+        assert!(dynamic.insert_edge(4, 0).unwrap());
+        assert!(dynamic.resistance_exact(0, 4).is_ok());
+        assert_eq!(dynamic.num_edges(), 6);
     }
 
     #[test]
@@ -651,25 +727,5 @@ mod tests {
         dynamic.resistance(1, 60).unwrap();
         let fresh = dynamic.epoch().unwrap();
         assert!(fresh.version() > old_version);
-    }
-
-    #[test]
-    fn seeded_state_is_advanced_but_never_installed() {
-        let g = generators::social_network_like(80, 6.0, 5).unwrap();
-        let dynamic = DynamicResistanceService::from_graph(&g, config());
-        let n = g.num_nodes();
-        // Seed a deliberately wrong diagonal: if it were ever installed,
-        // INDEX answers would be garbage. It must still be SM-maintained.
-        dynamic.seed_index_state(vec![1.0; n], Vec::new()).unwrap();
-        let before = dynamic.carried_diagonal().unwrap();
-        dynamic.insert_edge(0, 40).unwrap();
-        let after = dynamic.carried_diagonal().unwrap();
-        assert_ne!(before, after, "diagonal advanced by Sherman–Morrison");
-        assert_eq!(dynamic.sm_updates(), 1);
-        // Queries still answer correctly — the seeded state was not
-        // installed into the epoch.
-        let approx = dynamic.resistance(0, 40).unwrap();
-        let exact = dynamic.resistance_exact(0, 40).unwrap();
-        assert!((approx - exact).abs() <= config().epsilon);
     }
 }

@@ -106,7 +106,6 @@ fn duplicate_estimator(e: &EstimatorError) -> EstimatorError {
 fn duplicate_index(e: &IndexError) -> IndexError {
     match e {
         IndexError::Graph(g) => IndexError::Graph(duplicate_graph(g)),
-        IndexError::Estimator(inner) => IndexError::Estimator(duplicate_estimator(inner)),
         IndexError::InvalidConfiguration { name, message } => IndexError::InvalidConfiguration {
             name,
             message: message.clone(),
@@ -162,7 +161,6 @@ impl From<ServiceError> for EstimatorError {
     fn from(e: ServiceError) -> Self {
         match e {
             ServiceError::Estimator(inner) => inner,
-            ServiceError::Index(IndexError::Estimator(inner)) => inner,
             ServiceError::Index(IndexError::Graph(g)) => EstimatorError::Graph(g),
             other => EstimatorError::InvalidParameter {
                 name: "service",
@@ -178,7 +176,10 @@ impl From<ServiceError> for IndexError {
     fn from(e: ServiceError) -> Self {
         match e {
             ServiceError::Index(inner) => inner,
-            ServiceError::Estimator(inner) => IndexError::Estimator(inner),
+            ServiceError::Estimator(EstimatorError::Graph(g)) => IndexError::Graph(g),
+            ServiceError::Estimator(EstimatorError::BudgetExceeded { resource, message }) => {
+                IndexError::BudgetExceeded { resource, message }
+            }
             other => IndexError::InvalidConfiguration {
                 name: "service",
                 message: other.to_string(),
@@ -256,12 +257,9 @@ mod tests {
         let back: EstimatorError = e.into();
         assert!(matches!(back, EstimatorError::NotAnEdge { .. }));
 
-        let nested = ServiceError::Index(IndexError::Estimator(EstimatorError::NotAnEdge {
-            s: 0,
-            t: 1,
-        }));
-        let back: EstimatorError = nested.into();
-        assert!(matches!(back, EstimatorError::NotAnEdge { .. }));
+        let graph = ServiceError::Estimator(EstimatorError::Graph(GraphError::NotConnected));
+        let back: IndexError = graph.into();
+        assert!(matches!(back, IndexError::Graph(GraphError::NotConnected)));
 
         let shape = ServiceError::UnsupportedShape {
             backend: "MC2",

@@ -112,7 +112,7 @@ fn main() {
     );
     assert!((after_remove - before).abs() <= 2.0 * config.epsilon + 0.02);
     println!(
-        "  snapshot rebuilds: {} (mutations are lazy; queries pay the rebuild once)",
-        dynamic.rebuilds()
+        "  refreshes: {} (mutations are lazy; queries pay the refresh once)",
+        dynamic.service_refreshes()
     );
 }

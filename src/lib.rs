@@ -11,7 +11,7 @@
 //! * [`er_core`] (re-exported at the root) — the estimators: [`Geer`], [`Amc`]
 //!   and every baseline the paper compares against.
 //! * [`index`] (= `er-index`) — single-source / all-pairs ER, landmark
-//!   bounds, query caching and dynamic graphs.
+//!   bounds and query caching.
 //! * [`service`] (= `er-service`) — the **unified query plane**: typed
 //!   queries, capability-based planning, one front door
 //!   ([`ResistanceService`], `&self`-submittable and `Send + Sync`) for
@@ -68,8 +68,8 @@ pub mod walks {
     pub use er_walks::*;
 }
 
-/// Indexing layer: single-source/all-pairs ER, landmark bounds, query
-/// caching and dynamic graphs (re-export of the `er-index` crate).
+/// Indexing layer: single-source/all-pairs ER, landmark bounds and query
+/// caching (re-export of the `er-index` crate).
 pub mod index {
     pub use er_index::*;
 }

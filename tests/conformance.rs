@@ -13,7 +13,11 @@
 //! * the `ExactCg`, `ExactDense` and `Index` overrides at `Exact`, and the
 //!   `Geer`, `Amc` and `Smm` overrides at ε;
 //! * a [`ServerHandle`] with coalescing on;
-//! * er-http `POST /query`.
+//! * er-http `POST /query`;
+//! * a [`DynamicResistanceService`] whose INDEX state is carried by
+//!   Sherman–Morrison updates through an insert/delete stream and dropped
+//!   at full rebuilds and bridge deletes, checked after every mutation
+//!   against the truth on the mutated graph.
 //!
 //! What is asserted:
 //!
@@ -44,13 +48,15 @@
 //!   planner never sends ε requests on slow-mixing graphs to AMC; the
 //!   override is checked on the other three graphs.
 
-use effective_resistance::graph::{generators, Graph, NodePairQuerySet};
+use effective_resistance::graph::{generators, Graph, GraphBuilder, NodePairQuerySet};
 use effective_resistance::http::json::Json;
-use effective_resistance::index::AllPairsResistance;
+use effective_resistance::index::{AllPairsResistance, IndexError};
 use effective_resistance::{
-    Accuracy, ApproxConfig, BackendChoice, GraphContext, HttpConfig, HttpServer, PlannerConfig,
-    Query, Request, ResistanceServer, ResistanceService, ServerConfig, ServerHandle, ServiceError,
+    Accuracy, ApproxConfig, BackendChoice, DynamicResistanceService, GraphContext, HttpConfig,
+    HttpServer, PlannerConfig, Query, Request, ResistanceServer, ResistanceService, ServerConfig,
+    ServerHandle, ServiceError,
 };
+use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::OnceLock;
@@ -489,4 +495,160 @@ fn batched_geer_queries_meet_epsilon_and_reuse_the_cache() {
     assert_eq!(again.backend_calls, 0);
     assert_eq!(again.cache_hits as usize, base.len());
     assert_eq!(again.values, response.values[base.len()..]);
+}
+
+/// An `Exact` pair and an exact single-source row from the dynamic service,
+/// both checked against `truth`. Returns the pair's backend.
+fn check_dynamic_source(
+    dynamic: &DynamicResistanceService,
+    truth: &AllPairsResistance,
+    (s, t): (usize, usize),
+) -> &'static str {
+    let exact = dynamic.submit(&pair(s, t, Accuracy::Exact)).unwrap();
+    let want = truth.get(s, t);
+    assert!(
+        (exact.value() - want).abs() <= EXACT_TOL,
+        "{} ({s}, {t}): {} vs {want}",
+        exact.backend,
+        exact.value()
+    );
+    let row = dynamic
+        .submit(&Request::new(Query::single_source(s)).with_accuracy(Accuracy::Exact))
+        .unwrap();
+    assert_eq!(row.backend, "INDEX");
+    for (v, &value) in row.values.iter().enumerate() {
+        let want = truth.get(s, v);
+        assert!(
+            (value - want).abs() <= EXACT_TOL,
+            "row of {s} at {v}: {value} vs {want}"
+        );
+    }
+    exact.backend
+}
+
+/// INDEX state built by single-source queries is harvested, advanced by
+/// Sherman–Morrison at each mutation and re-installed at each incremental
+/// refresh. After every step of an insert/delete stream that spans two full
+/// rebuilds, its `Exact` pairs and rows match the truth on the mutated
+/// graph, and INDEX serves every `Exact` pair except the first after each
+/// full rebuild, which dropped the state.
+#[test]
+fn dynamic_service_matches_ground_truth_across_a_mutation_stream() {
+    let graph = generators::barabasi_albert(150, 3, 4).unwrap();
+    let n = graph.num_nodes();
+    let sources = [3usize, 17, 45, 90];
+    let dynamic = DynamicResistanceService::from_graph(&graph, config()).with_refresh_interval(8);
+
+    // Shortcuts are inserted and most are deleted again; four steps delete
+    // edges of the original graph.
+    let shortcuts: Vec<(usize, usize)> = (0..n)
+        .map(|i| (i, (i * 37 + 11) % n))
+        .filter(|&(u, v)| u != v && !graph.has_edge(u, v))
+        .take(8)
+        .collect();
+    let originals: Vec<(usize, usize)> = graph.edges().step_by(97).take(4).collect();
+    let stream = [
+        (true, shortcuts[0]),
+        (true, shortcuts[1]),
+        (false, originals[0]),
+        (true, shortcuts[2]),
+        (false, shortcuts[0]),
+        (true, shortcuts[3]),
+        (false, originals[1]),
+        (false, shortcuts[1]),
+        (true, shortcuts[4]),
+        (false, originals[2]),
+        (true, shortcuts[5]),
+        (false, shortcuts[2]),
+        (false, originals[3]),
+        (true, shortcuts[6]),
+        (false, shortcuts[3]),
+        (true, shortcuts[7]),
+    ];
+    let mut edges: BTreeSet<(usize, usize)> = graph.edges().collect();
+    let mut served_by_index = 0;
+    // Step 0 builds INDEX on the input graph; each later step mutates first.
+    let steps = std::iter::once(None).chain(stream.iter().map(Some));
+    for (step, mutation) in steps.enumerate() {
+        if let Some(&(insert, (u, v))) = mutation {
+            let key = (u.min(v), u.max(v));
+            if insert {
+                assert!(dynamic.insert_edge(u, v).unwrap());
+                edges.insert(key);
+            } else {
+                assert!(dynamic.remove_edge(u, v).unwrap());
+                edges.remove(&key);
+            }
+        }
+        let mutated = GraphBuilder::from_edges(n, edges.iter().copied())
+            .build()
+            .unwrap();
+        let truth = AllPairsResistance::compute(&mutated).unwrap();
+        let full_before = dynamic.snapshot_full_rebuilds();
+        for (k, &s) in sources.iter().enumerate() {
+            let backend = check_dynamic_source(&dynamic, &truth, (s, (s + 29 * (step + 1)) % n));
+            let rebuilt = dynamic.snapshot_full_rebuilds() > full_before;
+            let want = if rebuilt && k == 0 {
+                "EXACT-CG"
+            } else {
+                "INDEX"
+            };
+            assert_eq!(backend, want, "step {step}, source {s}");
+            served_by_index += usize::from(backend == "INDEX");
+        }
+    }
+    // The initial build plus one full rebuild per 8 mutations.
+    assert_eq!(dynamic.snapshot_full_rebuilds(), 3);
+    assert_eq!(served_by_index, (stream.len() + 1) * sources.len() - 3);
+    assert_eq!(dynamic.sm_updates(), stream.len() as u64);
+    assert_eq!(dynamic.cg_fallbacks(), 0);
+}
+
+/// A bridge delete refuses the rank-1 path and drops the carried state;
+/// queries on the split graph are typed errors, and once the bridge is back
+/// the first `Exact` answer is a fresh CG solve that matches the truth.
+#[test]
+fn dynamic_bridge_delete_falls_back_to_cg_and_recovers() {
+    // Two 10-cliques joined by the bridge {0, 10}.
+    let mut edges = Vec::new();
+    for base in [0usize, 10] {
+        for i in base..base + 10 {
+            for j in (i + 1)..base + 10 {
+                edges.push((i, j));
+            }
+        }
+    }
+    edges.push((0, 10));
+    let graph = GraphBuilder::from_edges(20, edges).build().unwrap();
+    let dynamic = DynamicResistanceService::from_graph(&graph, config());
+    let truth = AllPairsResistance::compute(&graph).unwrap();
+    for s in [0, 10] {
+        check_dynamic_source(&dynamic, &truth, (s, 19 - s));
+    }
+
+    // A clique-internal edge is far from a bridge: its update is applied.
+    assert!(dynamic.remove_edge(2, 7).unwrap());
+    assert_eq!(dynamic.sm_updates(), 1);
+    assert_eq!(dynamic.cg_fallbacks(), 0);
+    let without_2_7: Vec<(usize, usize)> = graph.edges().filter(|&e| e != (2, 7)).collect();
+    let truth =
+        AllPairsResistance::compute(&GraphBuilder::from_edges(20, without_2_7).build().unwrap())
+            .unwrap();
+    assert_eq!(check_dynamic_source(&dynamic, &truth, (0, 7)), "INDEX");
+
+    // The bridge delete's denominator 1 − r(0, 10) is 0: the update is
+    // refused and the split graph answers with typed errors.
+    assert!(dynamic.remove_edge(0, 10).unwrap());
+    assert_eq!(dynamic.cg_fallbacks(), 1);
+    assert!(matches!(
+        dynamic.submit(&pair(0, 10, Accuracy::Exact)),
+        Err(ServiceError::Index(IndexError::Graph(_)))
+    ));
+    assert!(dynamic.resistance(0, 10).is_err());
+
+    assert!(dynamic.insert_edge(0, 10).unwrap());
+    let exact = dynamic.submit(&pair(0, 10, Accuracy::Exact)).unwrap();
+    assert_eq!(exact.backend, "EXACT-CG");
+    assert!((exact.value() - truth.get(0, 10)).abs() <= EXACT_TOL);
+    assert_eq!(dynamic.sm_updates(), 1);
 }

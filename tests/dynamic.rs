@@ -1,98 +1,15 @@
-//! Incremental dynamic serving: Sherman–Morrison carried state, drift and
-//! refresh contracts, CG fallback on near-disconnection, and epoch-swap
-//! concurrency semantics.
+//! Incremental dynamic serving: the refresh contract (a full rebuild is
+//! bit-identical to a cold build and drops carried state, whichever read
+//! triggers it) and epoch-swap concurrency semantics. `tests/conformance.rs`
+//! checks the carried state's answers against ground truth.
 
 use std::sync::Arc;
 
-use effective_resistance::graph::{generators, transform, GraphBuilder};
-use effective_resistance::linalg::LaplacianSolver;
-use effective_resistance::{ApproxConfig, DynamicResistanceService, Query, Request};
+use effective_resistance::graph::{generators, transform};
+use effective_resistance::{Accuracy, ApproxConfig, DynamicResistanceService, Query, Request};
 
 fn config() -> ApproxConfig {
     ApproxConfig::with_epsilon(0.05)
-}
-
-/// Exact centred `L⁺ e_source` on `graph` via CG.
-fn exact_column(solver: &LaplacianSolver, n: usize, source: usize) -> Vec<f64> {
-    let mut b = vec![0.0; n];
-    b[source] = 1.0;
-    let (column, outcome) = solver.solve(&b);
-    assert!(outcome.converged, "ground-truth solve must converge");
-    column
-}
-
-/// Sherman–Morrison column updates track `resistance_exact` across an
-/// interleaved insert/delete stream, within a tolerance far below ε, for
-/// more than one refresh interval's worth of mutations.
-#[test]
-fn carried_state_tracks_exact_resistance_across_interleaved_stream() {
-    let n = 80;
-    let g = generators::social_network_like(n, 6.0, 9).unwrap();
-    let dynamic = DynamicResistanceService::from_graph(&g, config()).with_refresh_interval(64);
-
-    // Seed exact resident state: diag(L⁺) plus four resident columns.
-    let solver = LaplacianSolver::for_ground_truth(&g);
-    let sources = [3usize, 17, 45, 60];
-    let columns: Vec<(usize, Vec<f64>)> = sources
-        .iter()
-        .map(|&s| (s, exact_column(&solver, n, s)))
-        .collect();
-    let diagonal: Vec<f64> = (0..n).map(|v| exact_column(&solver, n, v)[v]).collect();
-    dynamic.seed_index_state(diagonal, columns).unwrap();
-
-    // Interleaved stream: inserts of fresh shortcut edges and deletes of
-    // edges inserted earlier in the same stream (guaranteed non-bridges:
-    // the original connected graph provides the alternate path).
-    let fresh: Vec<(usize, usize)> = (0..n)
-        .map(|i| (i, (i * 37 + 11) % n))
-        .filter(|&(u, v)| u != v && !dynamic.has_edge(u, v))
-        .take(6)
-        .collect();
-    assert_eq!(fresh.len(), 6, "need six non-edges to insert");
-    let order = [
-        (0, true),
-        (1, true),
-        (0, false),
-        (2, true),
-        (1, false),
-        (3, true),
-        (2, false),
-        (4, true),
-        (3, false),
-        (4, false),
-        (5, true),
-        (5, false),
-    ];
-    let stream: Vec<(usize, usize, bool)> = order
-        .iter()
-        .map(|&(i, insert)| (fresh[i].0, fresh[i].1, insert))
-        .collect();
-    assert!(stream.len() >= 10, "the stream must span >= K updates");
-    for &(u, v, insert) in &stream {
-        let changed = if insert {
-            dynamic.insert_edge(u, v).unwrap()
-        } else {
-            dynamic.remove_edge(u, v).unwrap()
-        };
-        assert!(changed, "every stream step mutates the graph");
-
-        // Reconstruct r(s, t) from the carried state and compare with a
-        // fresh CG solve on the mutated graph.
-        let diag = dynamic.carried_diagonal().expect("state stays resident");
-        for &s in &sources {
-            let col = dynamic.carried_column(s).expect("column stays resident");
-            let t = (s + 29) % n;
-            let r_carried = diag[s] + diag[t] - 2.0 * col[t];
-            let r_exact = dynamic.resistance_exact(s, t).unwrap();
-            assert!(
-                (r_carried - r_exact).abs() < 1e-5,
-                "drift after stream step ({u}, {v}, {insert}): \
-                 carried {r_carried} vs exact {r_exact}"
-            );
-        }
-    }
-    assert_eq!(dynamic.sm_updates(), stream.len() as u64);
-    assert_eq!(dynamic.cg_fallbacks(), 0);
 }
 
 /// After the K-th mutation the refresh is a full cold rebuild: answers are
@@ -126,48 +43,32 @@ fn full_refresh_is_bit_identical_to_cold_rebuild() {
     }
 }
 
-/// Deleting a bridge (or near-bridge) refuses the Sherman–Morrison path:
-/// the carried state is dropped and the fallback counter ticks; safe
-/// deletions keep advancing the state.
+/// A full rebuild that a ground-truth read triggers drops the carried INDEX
+/// state just as one that a query triggers does: the next `Exact` pair on
+/// the source is solved afresh by CG, not answered from state chained
+/// through a rank-1 update across the rebuild.
 #[test]
-fn near_disconnection_delete_takes_cg_fallback() {
-    // Two 10-cliques joined by a single bridge {0, 10}.
-    let mut edges = Vec::new();
-    for base in [0usize, 10] {
-        for i in base..base + 10 {
-            for j in (i + 1)..base + 10 {
-                edges.push((i, j));
-            }
-        }
-    }
-    edges.push((0, 10));
-    let g = GraphBuilder::from_edges(20, edges).build().unwrap();
-    let dynamic = DynamicResistanceService::from_graph(&g, config());
+fn rebuild_triggered_by_resistance_exact_drops_carried_state() {
+    let g = generators::social_network_like(80, 6.0, 9).unwrap();
+    let dynamic = DynamicResistanceService::from_graph(&g, config()).with_refresh_interval(2);
+    let s = 3;
+    let row = dynamic
+        .submit(&Request::new(Query::single_source(s)))
+        .unwrap();
+    assert_eq!(row.backend, "INDEX");
+    assert!(dynamic.insert_edge(1, 41).unwrap());
+    assert!(dynamic.insert_edge(2, 42).unwrap());
+    assert_eq!(dynamic.sm_updates(), 2, "INDEX state is carried");
+    // The second mutation reached the interval: this read's refresh is full.
+    dynamic.resistance_exact(0, 40).unwrap();
+    assert_eq!(dynamic.snapshot_full_rebuilds(), 2);
+    assert!(dynamic.insert_edge(4, 44).unwrap());
 
-    let solver = LaplacianSolver::for_ground_truth(&g);
-    let diagonal: Vec<f64> = (0..20).map(|v| exact_column(&solver, 20, v)[v]).collect();
-    dynamic.seed_index_state(diagonal, Vec::new()).unwrap();
-
-    // A clique-internal edge is far from a bridge: SM applies.
-    assert!(dynamic.remove_edge(2, 7).unwrap());
-    assert_eq!(dynamic.sm_updates(), 1);
-    assert_eq!(dynamic.cg_fallbacks(), 0);
-    assert!(dynamic.carried_diagonal().is_some());
-
-    // The bridge delete would disconnect: denominator 1 − r(0, 10) ≈ 0, so
-    // the rank-1 path is refused, the carried state dropped.
-    assert!(dynamic.remove_edge(0, 10).unwrap());
-    assert_eq!(dynamic.cg_fallbacks(), 1);
-    assert!(
-        dynamic.carried_diagonal().is_none(),
-        "carried state must be dropped on fallback"
-    );
-
-    // The graph is now genuinely disconnected; queries surface the error
-    // and recover once the bridge is restored.
-    assert!(dynamic.resistance(0, 10).is_err());
-    assert!(dynamic.insert_edge(0, 10).unwrap());
-    assert!(dynamic.resistance(0, 10).is_ok());
+    let exact = dynamic
+        .submit(&Request::new(Query::pair(s, 50)).with_accuracy(Accuracy::Exact))
+        .unwrap();
+    assert_eq!(exact.backend, "EXACT-CG");
+    assert_eq!(dynamic.sm_updates(), 2, "nothing carried past the rebuild");
 }
 
 /// Readers pinned on an old epoch keep answering bit-identically at the old
