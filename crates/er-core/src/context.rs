@@ -48,16 +48,45 @@ impl GraphContext {
         lanczos_iterations: usize,
         seed: u64,
     ) -> Result<Self, EstimatorError> {
+        let bounds = |g: &Graph| (lanczos::spectral_bounds(g, lanczos_iterations, seed), None);
+        Ok(Self::validate_then_measure(graph, bounds)?.0)
+    }
+
+    /// [`preprocess_with`](Self::preprocess_with) for a graph that evolves:
+    /// Lanczos starts from `start` (the Ritz vector a previous call
+    /// returned) when it is given, and the Ritz vector for the next call is
+    /// returned beside the context (`None` on the dense path, n ≤ 256).
+    ///
+    /// With `start = None` the context is the one `preprocess_with` builds
+    /// with the same budget and seed. This is the dynamic service's refresh.
+    pub fn preprocess_warm(
+        graph: impl IntoGraphArc,
+        lanczos_iterations: usize,
+        seed: u64,
+        start: Option<&[f64]>,
+    ) -> Result<(Self, Option<Vec<f64>>), EstimatorError> {
+        Self::validate_then_measure(graph, |g| {
+            lanczos::spectral_bounds_warm(g, lanczos_iterations, seed, start)
+        })
+    }
+
+    /// The one preprocessing path: validates the graph once, then keeps the
+    /// `(λ₂, λₙ)` that `bounds` measures and derives λ from them.
+    fn validate_then_measure(
+        graph: impl IntoGraphArc,
+        bounds: impl FnOnce(&Graph) -> ((f64, f64), Option<Vec<f64>>),
+    ) -> Result<(Self, Option<Vec<f64>>), EstimatorError> {
         let graph = graph.into_graph_arc();
         analysis::validate_ergodic(&graph)?;
-        let (lambda2, lambda_n) = lanczos::spectral_bounds(&graph, lanczos_iterations, seed);
+        let ((lambda2, lambda_n), ritz) = bounds(&graph);
         let lambda = lambda2.abs().max(lambda_n.abs()).clamp(1e-9, 1.0 - 1e-9);
-        Ok(GraphContext {
+        let context = GraphContext {
             graph,
             lambda,
             lambda2,
             lambda_n,
-        })
+        };
+        Ok((context, ritz))
     }
 
     /// Builds a context from an externally supplied λ (e.g. loaded from a
@@ -152,6 +181,25 @@ mod tests {
         assert!(GraphContext::preprocess(&disconnected).is_err());
         let bipartite = generators::cycle(6).unwrap();
         assert!(GraphContext::preprocess(&bipartite).is_err());
+    }
+
+    #[test]
+    fn warm_preprocessing_without_a_start_matches_preprocess_with() {
+        let g = generators::social_network_like(300, 8.0, 3).unwrap();
+        let cold = GraphContext::preprocess_with(&g, 120, 0xd1a).unwrap();
+        let (warm, ritz) = GraphContext::preprocess_warm(&g, 120, 0xd1a, None).unwrap();
+        assert_eq!(cold.lambda().to_bits(), warm.lambda().to_bits());
+        assert_eq!(cold.lambda2().to_bits(), warm.lambda2().to_bits());
+        assert_eq!(cold.lambda_n().to_bits(), warm.lambda_n().to_bits());
+        assert!(ritz.is_some(), "n > 256 returns a warm-start vector");
+
+        let disconnected = er_graph::GraphBuilder::from_edges(4, vec![(0, 1), (2, 3)])
+            .build()
+            .unwrap();
+        assert!(matches!(
+            GraphContext::preprocess_warm(&disconnected, 40, 1, None),
+            Err(EstimatorError::Graph(_))
+        ));
     }
 
     #[test]

@@ -3,14 +3,36 @@
 //! The refined walk length of Theorem 3.1 (Eq. (6)) and Peng et al.'s length
 //! (Eq. (5)) both need `λ = max{|λ₂|, |λₙ|}`, the second-largest-magnitude
 //! eigenvalue of the transition matrix `P`. The paper computes it once per
-//! graph with ARPACK; we substitute a Lanczos iteration with full
-//! reorthogonalization applied to the symmetric normalised adjacency
-//! `N = D^{-1/2} A D^{-1/2}` (similar to `P`, hence the same spectrum),
-//! after deflating the known Perron pair `(1, φ₁)` so the extreme Ritz values
-//! converge to λ₂ and λₙ instead of the trivial eigenvalue 1.
+//! graph with ARPACK; we substitute a Lanczos iteration applied to the
+//! symmetric normalised adjacency `N = D^{-1/2} A D^{-1/2}` (similar to `P`,
+//! hence the same spectrum), after deflating the known Perron pair `(1, φ₁)`
+//! so the extreme Ritz values converge to λ₂ and λₙ instead of the trivial
+//! eigenvalue 1.
 //!
-//! For small graphs (n ≤ 256) the dense Jacobi eigendecomposition is used
-//! instead, which is exact and fast at that size.
+//! **The recurrence.** Each step is the plain three-term recurrence
+//! `β_{j+1} q_{j+1} = A q_j − α_j q_j − β_j q_{j−1}`, `α_j = q_jᵀ A q_j`:
+//! one operator application and O(n) vector work on three reused buffers,
+//! so k steps cost k applications plus O(k·n). There is no
+//! reorthogonalization against earlier basis vectors.
+//!
+//! **Why the extremes survive without reorthogonalization.** In floating
+//! point the basis loses orthogonality, but only along Ritz vectors that
+//! have already converged (Paige). The tridiagonal `T_k` then grows further
+//! copies of those converged Ritz values, and every Ritz value stays within
+//! O(ε‖A‖) of the spectrum. The two extreme Ritz values, the only ones read
+//! here, converge first; a lost-orthogonality copy can repeat them but never
+//! move them. Interior Ritz values may repeat.
+//!
+//! **When the basis is stored.** Only when the caller asks for a Ritz vector
+//! ([`lanczos_with_start`], [`spectral_bounds_warm`]: the dynamic service's
+//! refresh); the cold path holds three length-n vectors whatever k is.
+//!
+//! **The tridiagonal solve.** [`tridiagonal_eigen`] diagonalises `T_k` by
+//! implicit QL with Wilkinson shifts, O(k²) for the eigenvalues. Eigenvectors
+//! cost O(k²) each and are computed only for the Ritz vector.
+//!
+//! For small graphs (n ≤ 256) the dense Jacobi eigendecomposition of `N` is
+//! used instead, which is exact and fast at that size.
 
 use crate::dense::DenseMatrix;
 use crate::ops::{DeflatedOp, LinearOperator, NormalizedAdjacencyOp};
@@ -23,6 +45,8 @@ use rand::{Rng, SeedableRng};
 #[derive(Clone, Debug)]
 pub struct LanczosResult {
     /// Ritz values (approximate eigenvalues), sorted in descending order.
+    /// Without reorthogonalization a converged Ritz value can appear more
+    /// than once; interior values may repeat, the extremes do not move.
     pub ritz_values: Vec<f64>,
     /// Number of Lanczos iterations actually performed.
     pub iterations: usize,
@@ -42,8 +66,9 @@ impl LanczosResult {
     }
 }
 
-/// Runs the Lanczos iteration with full reorthogonalization on a symmetric
-/// operator and returns the Ritz values of the resulting tridiagonal matrix.
+/// Runs the three-term Lanczos recurrence on a symmetric operator and
+/// returns the Ritz values of the resulting tridiagonal matrix. Stores no
+/// basis.
 ///
 /// `max_iter` bounds the Krylov dimension; `seed` fixes the random start
 /// vector so results are reproducible.
@@ -53,12 +78,15 @@ pub fn lanczos<Op: LinearOperator>(op: &Op, max_iter: usize, seed: u64) -> Lancz
 }
 
 /// Like [`lanczos`], but takes an optional warm-start vector and returns a
-/// Ritz vector alongside the result, for warm-starting the *next* run.
+/// Ritz vector alongside the result, for warm-starting the *next* run. This
+/// is the variant that stores the Lanczos basis (`k` vectors of length n).
 ///
 /// `start` is used (normalised) when it has the right dimension and a
 /// nonzero norm; otherwise the seeded random start of [`lanczos`] is used.
 /// The returned vector is the normalised sum of the extreme Ritz vectors
-/// (largest + smallest Ritz value) — a Krylov start that re-converges to
+/// (largest + smallest Ritz value), each taken from a tridiagonal
+/// eigenvector whose first component is ≥ 0, i.e. with a non-negative
+/// overlap with this run's start. It is a Krylov start that re-converges to
 /// both spectral extremes in a handful of iterations when the operator has
 /// only drifted slightly, which is exactly the incremental-refresh situation
 /// after a small mutation burst.
@@ -99,28 +127,26 @@ fn lanczos_core<Op: LinearOperator>(
     let n = op.dim();
     let k_max = max_iter.min(n);
 
-    let mut basis: Vec<Vec<f64>> = Vec::with_capacity(k_max);
+    // Kept only to assemble the Ritz vector. One allocation per vector: a
+    // single k×n block (19 MB at n = 20k, k = 120) fragments the heap across
+    // the dynamic service's refreshes and raised its peak RSS by a fifth.
+    let mut basis: Vec<Vec<f64>> = Vec::new();
     let mut alphas: Vec<f64> = Vec::with_capacity(k_max);
     let mut betas: Vec<f64> = Vec::with_capacity(k_max);
     let mut invariant = false;
 
     let mut q_prev: Vec<f64> = vec![0.0; n];
+    let mut w: Vec<f64> = vec![0.0; n];
     let mut beta_prev = 0.0_f64;
 
     for _ in 0..k_max {
-        basis.push(q.clone());
-        let mut w = op.apply_vec(&q);
-        // w -= beta_prev * q_prev
+        if want_ritz_vector {
+            basis.push(q.clone());
+        }
+        op.apply(&q, &mut w);
         vector::axpy(-beta_prev, &q_prev, &mut w);
         let alpha = vector::dot(&q, &w);
         vector::axpy(-alpha, &q, &mut w);
-        // Full reorthogonalization against every stored basis vector. O(k·n)
-        // per step but rock-solid against the loss of orthogonality that
-        // plain Lanczos suffers, and cheap at the Krylov sizes we use.
-        for b in &basis {
-            let proj = vector::dot(b, &w);
-            vector::axpy(-proj, b, &mut w);
-        }
         alphas.push(alpha);
         let beta = vector::norm2(&w);
         if beta < 1e-12 {
@@ -128,41 +154,38 @@ fn lanczos_core<Op: LinearOperator>(
             break;
         }
         betas.push(beta);
-        q_prev = std::mem::replace(&mut q, w);
+        // q_{j-1} ← q_j, q_j ← w / β; the old q_{j-1} becomes the next w.
+        std::mem::swap(&mut q_prev, &mut q);
+        std::mem::swap(&mut q, &mut w);
         vector::scale(1.0 / beta, &mut q);
         beta_prev = beta;
     }
 
-    // Eigenvalues of the k×k symmetric tridiagonal matrix via dense Jacobi
-    // (k is small, ≤ max_iter).
+    // The last β is the residual norm, not an entry of T_k.
     let k = alphas.len();
-    let mut t = DenseMatrix::zeros(k);
-    for i in 0..k {
-        t.set(i, i, alphas[i]);
-        if i + 1 < k {
-            t.set(i, i + 1, betas[i]);
-            t.set(i + 1, i, betas[i]);
-        }
-    }
-    let (ritz_values, tridiag_vectors) = t.symmetric_eigen();
+    let extremes = [0, k.saturating_sub(1)];
+    let wanted: &[usize] = if want_ritz_vector && k > 0 {
+        &extremes
+    } else {
+        &[]
+    };
+    let (ritz_values, vectors) = tridiagonal_eigen(&alphas, &betas[..k.saturating_sub(1)], wanted);
     // Ritz vector for a tridiagonal eigenpair (θ, s): y = Σ_i basis[i]·s(i).
     // The warm-start vector combines the extreme pairs so the next Krylov
     // space reaches both ends of the spectrum immediately.
-    let ritz_vector = if want_ritz_vector && k > 0 {
-        let mut y = vec![0.0; n];
-        for (i, b) in basis.iter().enumerate() {
-            let coeff = tridiag_vectors.get(i, 0) + tridiag_vectors.get(i, k - 1);
-            vector::axpy(coeff, b, &mut y);
+    let ritz_vector = match &vectors[..] {
+        [top, bottom] => {
+            let mut y = vec![0.0; n];
+            for (i, b) in basis.iter().enumerate() {
+                vector::axpy(top[i] + bottom[i], b, &mut y);
+            }
+            let norm = vector::norm2(&y);
+            (norm > 1e-12).then(|| {
+                vector::scale(1.0 / norm, &mut y);
+                y
+            })
         }
-        let norm = vector::norm2(&y);
-        if norm > 1e-12 {
-            vector::scale(1.0 / norm, &mut y);
-            Some(y)
-        } else {
-            None
-        }
-    } else {
-        None
+        _ => None,
     };
     (
         LanczosResult {
@@ -172,6 +195,120 @@ fn lanczos_core<Op: LinearOperator>(
         },
         ritz_vector,
     )
+}
+
+/// QL sweeps allowed per eigenvalue before [`tridiagonal_eigen`] accepts the
+/// current diagonal entry (two or three suffice in practice).
+const MAX_QL_SWEEPS: usize = 60;
+
+/// Eigen-decomposition of the symmetric tridiagonal matrix with diagonal
+/// `diag` and off-diagonal `off` (`off[i]` couples rows `i` and `i + 1`).
+///
+/// Returns the eigenvalues in descending order, and one unit eigenvector
+/// for each entry of `vectors`, an index into those eigenvalues. Each
+/// eigenvector is signed so that its first component is ≥ 0.
+///
+/// Implicit QL with Wilkinson shifts (the iteration of EISPACK's `imtql2`,
+/// without its dense eigenvector accumulation): O(k²) for all eigenvalues
+/// of a k×k matrix. The
+/// plane rotations are recorded only when `vectors` is non-empty, and each
+/// requested eigenvector is their product applied to a unit vector, O(k²)
+/// per vector. Eigenvectors of a split matrix (a zero off-diagonal) stay
+/// within their block, so repeated eigenvalues from different blocks get
+/// orthogonal vectors.
+///
+/// # Panics
+///
+/// If `off.len() + 1 != diag.len()` for a non-empty `diag`, or an index in
+/// `vectors` is out of range.
+pub fn tridiagonal_eigen(
+    diag: &[f64],
+    off: &[f64],
+    vectors: &[usize],
+) -> (Vec<f64>, Vec<Vec<f64>>) {
+    let k = diag.len();
+    assert_eq!(off.len(), k.saturating_sub(1), "off-diagonal length");
+    let mut d = diag.to_vec();
+    // e[k − 1] = 0 closes the last block.
+    let mut e = off.to_vec();
+    e.push(0.0);
+    let record = !vectors.is_empty();
+    // (i, c, s): the rotation in the (i, i + 1) plane applied by one QL step.
+    let mut rotations: Vec<(usize, f64, f64)> = Vec::new();
+
+    for l in 0..k {
+        for _ in 0..MAX_QL_SWEEPS {
+            // The block l..=m ends at the first negligible off-diagonal.
+            let mut m = l;
+            while m + 1 < k {
+                let dd = d[m].abs() + d[m + 1].abs();
+                if e[m].abs() + dd == dd {
+                    break;
+                }
+                m += 1;
+            }
+            if m == l {
+                break;
+            }
+            // Wilkinson shift from the leading 2×2 block.
+            let mut g = (d[l + 1] - d[l]) / (2.0 * e[l]);
+            let mut r = g.hypot(1.0);
+            g = d[m] - d[l] + e[l] / (g + if g >= 0.0 { r } else { -r });
+            let (mut s, mut c, mut p) = (1.0, 1.0, 0.0);
+            let mut split = false;
+            for i in (l..m).rev() {
+                let f = s * e[i];
+                let b = c * e[i];
+                r = f.hypot(g);
+                e[i + 1] = r;
+                if r == 0.0 {
+                    // Underflow split the block at i + 1: sweep again.
+                    d[i + 1] -= p;
+                    e[m] = 0.0;
+                    split = true;
+                    break;
+                }
+                s = f / r;
+                c = g / r;
+                g = d[i + 1] - p;
+                r = (d[i] - g) * s + 2.0 * c * b;
+                p = s * r;
+                d[i + 1] = g + p;
+                g = c * r - b;
+                if record {
+                    rotations.push((i, c, s));
+                }
+            }
+            if !split {
+                d[l] -= p;
+                e[l] = g;
+                e[m] = 0.0;
+            }
+        }
+    }
+
+    let mut order: Vec<usize> = (0..k).collect();
+    order.sort_by(|&a, &b| d[b].total_cmp(&d[a]));
+    let values = order.iter().map(|&i| d[i]).collect();
+    // The eigenvector matrix is Z = R_1 R_2 ⋯ R_N (the rotations in the
+    // order applied), so column j is R_1(R_2(⋯(R_N e_j))).
+    let vectors = vectors
+        .iter()
+        .map(|&index| {
+            let mut z = vec![0.0; k];
+            z[order[index]] = 1.0;
+            for &(i, c, s) in rotations.iter().rev() {
+                let (zi, zn) = (z[i], z[i + 1]);
+                z[i] = c * zi + s * zn;
+                z[i + 1] = c * zn - s * zi;
+            }
+            if z[0] < 0.0 {
+                vector::scale(-1.0, &mut z);
+            }
+            z
+        })
+        .collect();
+    (values, vectors)
 }
 
 /// Spectral bounds of the random-walk transition matrix `P` of a graph:
@@ -206,7 +343,8 @@ pub fn spectral_bounds(g: &Graph, max_iter: usize, seed: u64) -> (f64, f64) {
 /// bounds plus a Ritz vector for warm-starting the next call.
 ///
 /// With `start = None` and the same `max_iter`, the bounds are identical to
-/// [`spectral_bounds`] (same seeded start, same iteration). With a `start`
+/// [`spectral_bounds`] (same seeded start, same iteration); only this
+/// variant stores the Lanczos basis, to build the Ritz vector. With a `start`
 /// carried over from the previous call on a slightly-mutated graph, a much
 /// smaller `max_iter` (a third of the cold budget) reaches the same accuracy
 /// — this is how the dynamic service refreshes λ after a mutation burst
@@ -292,13 +430,147 @@ mod tests {
         let dense_ln = *vals.last().unwrap();
         let (l2, ln) = spectral_bounds(&g, 120, 7);
         assert!(
-            (l2 - dense_l2).abs() < 1e-4,
+            (l2 - dense_l2).abs() < 1e-10,
             "lanczos {l2} dense {dense_l2}"
         );
         assert!(
-            (ln - dense_ln).abs() < 1e-4,
+            (ln - dense_ln).abs() < 1e-10,
             "lanczos {ln} dense {dense_ln}"
         );
+    }
+
+    #[test]
+    fn cold_budget_bounds_match_the_reorthogonalized_recording() {
+        // (λ₂, λₙ) at the cold budget and preprocessing seed, recorded with
+        // the full-reorthogonalization Lanczos and dense Jacobi this module
+        // used before. A dense reference at n = 2000 takes minutes in a
+        // debug build; these recordings stand in for it.
+        let cases = [
+            (
+                generators::barabasi_albert(2000, 3, 5).unwrap(),
+                7.216811100625167e-1,
+                -7.232829489843873e-1,
+            ),
+            (
+                generators::social_network_like(2000, 8.0, 5).unwrap(),
+                6.419494009556245e-1,
+                -6.394156742370063e-1,
+            ),
+            (
+                generators::watts_strogatz(2000, 6, 0.05, 5).unwrap(),
+                9.887826086849582e-1,
+                -5.668378167050263e-1,
+            ),
+            (
+                generators::community_social_network(2000, 10.0, 8, 0.05, 5).unwrap(),
+                9.862777533979381e-1,
+                -5.738546601294875e-1,
+            ),
+            (
+                generators::barbell(400, 20).unwrap(),
+                9.999994034380428e-1,
+                -9.88836193219819e-1,
+            ),
+        ];
+        for (g, recorded_l2, recorded_ln) in cases {
+            let (l2, ln) = spectral_bounds(&g, 120, 0xe16e);
+            assert!(
+                (l2 - recorded_l2).abs() < 1e-11,
+                "n = {}: λ₂ {l2} vs {recorded_l2}",
+                g.num_nodes()
+            );
+            assert!(
+                (ln - recorded_ln).abs() < 1e-11,
+                "n = {}: λₙ {ln} vs {recorded_ln}",
+                g.num_nodes()
+            );
+        }
+    }
+
+    /// Checks [`tridiagonal_eigen`] against the dense Jacobi solver: every
+    /// eigenvalue within 1e-12·max|T|, the eigenvectors orthonormal within
+    /// 1e-12, each residual ‖Tv − θv‖ ≤ 1e-12 and each first component ≥ 0.
+    fn check_tridiagonal(diag: &[f64], off: &[f64]) {
+        let k = diag.len();
+        let mut t = DenseMatrix::zeros(k);
+        for i in 0..k {
+            t.set(i, i, diag[i]);
+            if i + 1 < k {
+                t.set(i, i + 1, off[i]);
+                t.set(i + 1, i, off[i]);
+            }
+        }
+        let scale = diag.iter().chain(off).fold(0.0_f64, |m, x| m.max(x.abs()));
+        let all: Vec<usize> = (0..k).collect();
+        let (values, vectors) = tridiagonal_eigen(diag, off, &all);
+        let (dense, _) = t.symmetric_eigen();
+        assert_eq!(values.len(), k);
+        for (i, (ql, jacobi)) in values.iter().zip(&dense).enumerate() {
+            assert!(
+                (ql - jacobi).abs() <= 1e-12 * scale,
+                "k = {k}, eigenvalue {i}: QL {ql} vs Jacobi {jacobi}"
+            );
+        }
+        for (i, v) in vectors.iter().enumerate() {
+            assert!(v[0] >= 0.0, "k = {k}, vector {i} starts negative");
+            let residual: f64 = t
+                .mat_vec(v)
+                .iter()
+                .zip(v)
+                .map(|(tv, x)| (tv - values[i] * x).powi(2))
+                .sum::<f64>()
+                .sqrt();
+            assert!(
+                residual <= 1e-12,
+                "k = {k}, vector {i}: residual {residual:e}"
+            );
+            for (j, u) in vectors.iter().enumerate() {
+                let expected = if i == j { 1.0 } else { 0.0 };
+                let dot = vector::dot(v, u);
+                assert!(
+                    (dot - expected).abs() <= 1e-12,
+                    "k = {k}: <v{i}, v{j}> = {dot:e}"
+                );
+            }
+        }
+    }
+
+    fn random_tridiagonal(k: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let diag = (0..k).map(|_| 2.0 * rng.gen::<f64>() - 1.0).collect();
+        let off = (1..k).map(|_| 2.0 * rng.gen::<f64>() - 1.0).collect();
+        (diag, off)
+    }
+
+    #[test]
+    fn tridiagonal_eigen_matches_jacobi_on_random_matrices() {
+        for (k, seed) in [(1, 11), (2, 12), (40, 13), (120, 14)] {
+            let (diag, off) = random_tridiagonal(k, seed);
+            check_tridiagonal(&diag, &off);
+        }
+    }
+
+    #[test]
+    fn tridiagonal_eigen_handles_a_zero_off_diagonal() {
+        // Two independent blocks, 17×17 and 23×23.
+        let (diag, mut off) = random_tridiagonal(40, 15);
+        off[16] = 0.0;
+        check_tridiagonal(&diag, &off);
+    }
+
+    #[test]
+    fn tridiagonal_eigen_handles_a_repeated_eigenvalue() {
+        // The same 5×5 block twice: every eigenvalue has multiplicity two.
+        let (block_diag, block_off) = random_tridiagonal(5, 16);
+        let diag: Vec<f64> = block_diag.iter().chain(&block_diag).copied().collect();
+        let mut off = block_off.clone();
+        off.push(0.0);
+        off.extend_from_slice(&block_off);
+        let (values, _) = tridiagonal_eigen(&diag, &off, &[]);
+        for pair in values.chunks_exact(2) {
+            assert!((pair[0] - pair[1]).abs() <= 1e-14, "{pair:?}");
+        }
+        check_tridiagonal(&diag, &off);
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //!   materialise a matrix (e.g. to add diagonal shifts).
 //! * [`dense`] — small dense symmetric matrices, Jacobi eigendecomposition and
 //!   the Moore–Penrose pseudo-inverse (the EXACT baseline, Definition 2.1).
-//! * [`lanczos`] — Lanczos with full reorthogonalization plus a symmetric
-//!   tridiagonal eigensolver; this substitutes for ARPACK when computing
-//!   λ = max{|λ₂|, |λₙ|} in the preprocessing step of Section 3.1.
+//! * [`lanczos`] — the three-term Lanczos recurrence (no reorthogonalization;
+//!   the basis is stored only to build a warm-start Ritz vector) plus a
+//!   symmetric tridiagonal eigensolver (implicit QL, [`lanczos::tridiagonal_eigen`]);
+//!   this substitutes for ARPACK when computing λ = max{|λ₂|, |λₙ|} in the
+//!   preprocessing step of Section 3.1.
 //! * [`solver`] — a conjugate-gradient Laplacian solver (for ground truth,
 //!   the EXACT-via-solves path and the RP sketch).
 //! * [`sketch`] — the Spielman–Srivastava random-projection sketch used by

@@ -144,10 +144,17 @@ impl LinearOperator for NormalizedAdjacencyOp<'_> {
     }
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
+        // D^{-1/2} x once per call rather than once per edge: the same
+        // products summed in the same order, so the same bits.
+        let scaled: Vec<f64> = x
+            .iter()
+            .zip(&self.inv_sqrt_deg)
+            .map(|(a, b)| a * b)
+            .collect();
         for u in self.graph.nodes() {
             let mut acc = 0.0;
             for &v in self.graph.neighbors(u) {
-                acc += x[v] * self.inv_sqrt_deg[v];
+                acc += scaled[v];
             }
             y[u] = acc * self.inv_sqrt_deg[u];
         }

@@ -46,10 +46,10 @@ use crate::error::ServiceError;
 use crate::query::{Query, Request};
 use crate::response::Response;
 use crate::service::ResistanceService;
-use er_core::{ApproxConfig, GraphContext};
-use er_graph::{analysis, Graph, NodeId, OverlayGraph};
+use er_core::{ApproxConfig, EstimatorError, GraphContext};
+use er_graph::{Graph, NodeId, OverlayGraph};
 use er_index::{IndexError, LandmarkIndex};
-use er_linalg::{solve_overlay_laplacian, spectral_bounds_warm, LaplacianSolver, RankOneUpdate};
+use er_linalg::{solve_overlay_laplacian, LaplacianSolver, RankOneUpdate};
 
 /// Deletion denominator floor for *carried-state* updates. Looser than
 /// [`er_linalg::MIN_DELETE_DENOMINATOR`]: carried state is advanced through
@@ -428,8 +428,9 @@ impl DynamicResistanceService {
     }
 
     /// Builds and installs the epoch for the current version: a new CSR
-    /// from the overlay, λ by cold or warm-started Lanczos, and a service
-    /// around carried INDEX state when an incremental refresh has some.
+    /// from the overlay, validated once, λ₂/λₙ by cold or warm-started
+    /// Lanczos (kept in the epoch's context), and a service around carried
+    /// INDEX state when an incremental refresh has some.
     fn refresh_locked(&self, inner: &mut Updater) -> Result<Arc<ServiceEpoch>, ServiceError> {
         let version = self.version();
         if let Some(epoch) = self.epoch().filter(|epoch| epoch.version() == version) {
@@ -444,7 +445,6 @@ impl DynamicResistanceService {
         } else {
             Arc::new(inner.overlay.collapse())
         };
-        analysis::validate_ergodic(&graph).map_err(IndexError::Graph)?;
         let (iterations, start) = if full {
             (GraphContext::DEFAULT_LANCZOS_ITERATIONS, None)
         } else {
@@ -453,9 +453,12 @@ impl DynamicResistanceService {
                 inner.warm_ritz.as_deref(),
             )
         };
-        let ((l2, ln), ritz) = spectral_bounds_warm(&graph, iterations, LANCZOS_SEED, start);
-        let lambda = l2.abs().max(ln.abs()).clamp(1e-9, 1.0 - 1e-9);
-        let context = GraphContext::with_lambda(Arc::clone(&graph), lambda)?;
+        let (context, ritz) =
+            GraphContext::preprocess_warm(Arc::clone(&graph), iterations, LANCZOS_SEED, start)
+                .map_err(|e| match e {
+                    EstimatorError::Graph(g) => ServiceError::Index(IndexError::Graph(g)),
+                    other => other.into(),
+                })?;
         inner.warm_ritz = ritz;
         if full {
             inner.full_rebuilds += 1;
@@ -522,6 +525,7 @@ impl DynamicResistanceService {
 mod tests {
     use super::*;
     use er_graph::{generators, GraphBuilder};
+    use er_linalg::spectral_bounds_warm;
 
     fn config() -> ApproxConfig {
         ApproxConfig {
@@ -666,6 +670,31 @@ mod tests {
             warm.lambda(),
             cold.lambda()
         );
+    }
+
+    #[test]
+    fn epochs_keep_the_measured_spectral_bounds() {
+        // n > 256 so the bounds come from Lanczos. The first refresh is
+        // full (cold, 120 iterations); the next one is incremental (40,
+        // warm from the first run's Ritz vector).
+        let g = generators::social_network_like(300, 8.0, 5).unwrap();
+        let dynamic = DynamicResistanceService::from_graph(&g, config());
+        let full = dynamic.refresh().unwrap();
+        assert_eq!(dynamic.snapshot_full_rebuilds(), 1);
+        dynamic.insert_edge(7, 200).unwrap();
+        let incremental = dynamic.refresh().unwrap();
+        assert_eq!(dynamic.incremental_refreshes(), 1);
+
+        let (cold, ritz) = spectral_bounds_warm(&g, 120, 0xd1a, None);
+        let incremental_graph = incremental.service().context().graph();
+        let (warm, _) = spectral_bounds_warm(incremental_graph, 40, 0xd1a, ritz.as_deref());
+        for (epoch, (l2, ln)) in [(full, cold), (incremental, warm)] {
+            let context = epoch.service().context();
+            assert_eq!(context.lambda2().to_bits(), l2.to_bits());
+            assert_eq!(context.lambda_n().to_bits(), ln.to_bits());
+            let lambda = l2.abs().max(ln.abs()).clamp(1e-9, 1.0 - 1e-9);
+            assert_eq!(context.lambda().to_bits(), lambda.to_bits());
+        }
     }
 
     #[test]

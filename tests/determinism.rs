@@ -167,6 +167,31 @@ fn mc_mc2_amc_golden_values_survived_the_lane_port() {
     }
 }
 
+/// GEER through the measured λ. Every golden above fixes λ = 0.9; these go
+/// through `GraphContext::preprocess` (Lanczos, λ ≈ 0.5377 on this graph),
+/// so they pin the answers that depend on the eigenvalue estimate. Recorded
+/// with the full-reorthogonalization Lanczos; the three-term recurrence
+/// keeps every bit and every walk length ℓ.
+#[test]
+fn geer_golden_values_through_the_measured_lambda() {
+    let ctx = GraphContext::preprocess(graph()).unwrap();
+    let cfg = ApproxConfig::with_epsilon(0.2)
+        .reseeded(0xfeed)
+        .with_threads(1);
+    let mut geer = Geer::new(&ctx, cfg);
+    let goldens: [(u64, usize); 4] = [
+        (0x3fbefaa6291e225b, 1),
+        (0x3fc90f9641d52d1a, 2),
+        (0x3fbd2c7d7281d2c8, 1),
+        (0x3fc43237ad083008, 1),
+    ];
+    for (&(s, t), (bits, ell)) in PAIRS.iter().zip(goldens) {
+        let trace = geer.estimate_traced(s, t).unwrap();
+        assert_eq!(trace.value().to_bits(), bits, "GEER ({s},{t})");
+        assert_eq!(trace.ell, ell, "GEER ({s},{t}) walk length");
+    }
+}
+
 #[test]
 fn parallel_amc_stays_within_epsilon_of_exact() {
     let g = graph();
