@@ -1,7 +1,7 @@
 //! Walk-kernel micro-benchmark: the PR-1 bulk-sampling path vs the
 //! zero-allocation kernel, on a 100k-node Barabási–Albert graph.
 //!
-//! Two workloads, both single-threaded so the numbers isolate the per-walk
+//! Five workloads, all single-threaded so the numbers isolate the per-walk
 //! constant factor rather than parallel speedup:
 //!
 //! * `histogram_query` — many medium-sized `endpoint_histogram` queries (the
@@ -23,15 +23,6 @@
 //!   count asserted bit-identical before timing; the
 //!   `wilson_trees_per_sec` metric.
 //!
-//! A lane-width sweep (8/16/32 lanes, fixed-length bulk walks) runs at 1, 2
-//! and 8 threads, prints next to the `LaneWidth::auto` pick and lands in the
-//! entry's `lane_sweep` object — the calibration data behind the heuristic's
-//! thresholds (tuned on a 1-CPU container; the per-thread sections record
-//! whether multi-core hardware disagrees). A prefetch on/off sweep times the
-//! bulk and Wilson drivers with prefetch-ahead forced off and on and reports
-//! the off/on time ratios as the `prefetch_speedup` /
-//! `prefetch_speedup_wilson` metrics — the measurements behind the kernel's
-//! prefetch defaults (off for wide drivers, on for the narrow Wilson lanes).
 //! Every workload asserts bit-identical results between the old and kernel
 //! paths before timing them.
 //!
@@ -55,10 +46,9 @@ use er_bench::baseline::pr1_endpoint_histogram;
 use er_bench::trajectory::{append_to_trajectory, git_sha};
 use er_graph::{generators, Graph};
 use er_walks::hitting::{escape_trials, escape_walk, EscapeOutcome, EscapeTally};
-use er_walks::kernel::LaneWidth;
 use er_walks::{
-    par, sample_spanning_tree, sample_spanning_trees, sample_spanning_trees_on, SpanningTree,
-    StreamRng, WalkEngine, WalkKernel,
+    par, sample_spanning_tree, sample_spanning_trees, SpanningTree, StreamRng, WalkEngine,
+    WalkKernel,
 };
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -359,82 +349,6 @@ fn run_wilson_trees(graph: &Graph, trees: u64, seed: u64, reps: usize) -> Worklo
     }
 }
 
-/// Prefetch-ahead on/off time ratio (`off_secs / on_secs`; above 1.0 means
-/// prefetch wins) for the fixed-length bulk driver and the lockstep Wilson
-/// driver. Results-neutrality of the toggle is pinned by kernel unit tests
-/// and by `run_wilson_trees`' bit-identity assert, so this only times.
-fn prefetch_sweep(
-    graph: &Graph,
-    walks: u64,
-    len: usize,
-    trees: u64,
-    seed: u64,
-    reps: usize,
-) -> (f64, f64) {
-    let time_bulk = |prefetch: bool| {
-        let kernel = WalkKernel::new(graph).with_prefetch(prefetch);
-        best_secs(reps, || {
-            let mut count = 0;
-            kernel.batch_endpoints(0, len, seed, 0..walks, &mut |_, _, _| count += 1);
-            count
-        })
-        .0
-    };
-    // L8 is the narrowest width the explicit-kernel entry can request — the
-    // closest stand-in for the few-deep-lanes regime the production
-    // CSR-footprint rule picks on a graph this size.
-    let time_wilson = |prefetch: bool| {
-        let kernel = WalkKernel::new(graph)
-            .with_lanes(LaneWidth::L8)
-            .with_prefetch(prefetch);
-        best_secs(reps, || {
-            let mut count = 0;
-            sample_spanning_trees_on(kernel, 0, seed ^ 0x17, 0..trees, &mut |_, _, _| count += 1);
-            count
-        })
-        .0
-    };
-    (
-        time_bulk(false) / time_bulk(true),
-        time_wilson(false) / time_wilson(true),
-    )
-}
-
-/// Walks/sec of fixed-length bulk walks at each lane width and the given
-/// thread count — the calibration data behind `LaneWidth::auto`'s
-/// thresholds. Fan-out goes through the same chunked `par_fold_ranges`
-/// backbone the estimators use, so the multi-thread rows reflect how the
-/// widths behave under real contention (on multi-core hardware; on a 1-CPU
-/// container all rows collapse to the single-thread picture).
-fn lane_sweep(
-    graph: &Graph,
-    walks: u64,
-    len: usize,
-    seed: u64,
-    reps: usize,
-    threads: usize,
-) -> Vec<(LaneWidth, f64)> {
-    [LaneWidth::L8, LaneWidth::L16, LaneWidth::L32]
-        .into_iter()
-        .map(|width| {
-            let kernel = WalkKernel::new(graph).with_lanes(width);
-            let (secs, done) = best_secs(reps, || {
-                par::par_fold_ranges(
-                    walks,
-                    threads,
-                    || 0u64,
-                    |range, count: &mut u64| {
-                        kernel.batch_endpoints(0, len, seed, range, &mut |_, _, _| *count += 1)
-                    },
-                    |total, part| *total += part,
-                )
-            });
-            assert_eq!(done, walks);
-            (width, walks as f64 / secs)
-        })
-        .collect()
-}
-
 /// Bit-identity of the kernel path across thread counts, on the bench graph.
 fn check_determinism(graph: &Graph, seed: u64) -> bool {
     let run = |threads: usize| {
@@ -505,35 +419,6 @@ fn main() {
         ),
     ];
 
-    let sweep_walks = if args.quick { 50_000 } else { 200_000 };
-    let sweeps: Vec<(usize, Vec<(LaneWidth, f64)>)> = [1usize, 2, 8]
-        .into_iter()
-        .map(|threads| {
-            (
-                threads,
-                lane_sweep(&graph, sweep_walks, 16, args.seed ^ 0x5e, reps, threads),
-            )
-        })
-        .collect();
-    let auto = LaneWidth::auto(graph.num_nodes(), graph.num_edges());
-    println!("lane sweep (fixed-length bulk walks):");
-    for (threads, sweep) in &sweeps {
-        for &(width, rate) in sweep {
-            let marker = if width == auto { "  <- auto pick" } else { "" };
-            println!("  {threads} thread(s) {width:?}: {rate:>14.0} walks/s{marker}");
-        }
-    }
-
-    let (prefetch_bulk, prefetch_wilson) = prefetch_sweep(
-        &graph,
-        sweep_walks,
-        16,
-        if args.quick { 4 } else { 8 },
-        args.seed ^ 0x9f,
-        reps,
-    );
-    println!("prefetch speedup (off/on): bulk {prefetch_bulk:.3}x, wilson {prefetch_wilson:.3}x");
-
     println!(
         "{:<18} {:>14} {:>16} {:>12} {:>12} {:>9}",
         "workload", "old walks/s", "kernel walks/s", "old ms/q", "kernel ms/q", "speedup"
@@ -574,18 +459,6 @@ fn main() {
         .iter()
         .find(|w| w.name == "wilson_trees")
         .expect("wilson_trees workload present");
-    let sweep_json = sweeps
-        .iter()
-        .map(|(threads, sweep)| {
-            let rows = sweep
-                .iter()
-                .map(|(width, rate)| format!("\"{width:?}\": {rate:.0}"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!("\"threads_{threads}\": {{{rows}}}")
-        })
-        .collect::<Vec<_>>()
-        .join(", ");
     let entry = format!(
         "{{\n  \"bench\": \"walk_kernel\",\n  \"git_sha\": \"{sha}\",\n  \
          \"created_unix\": {created},\n  \
@@ -594,9 +467,7 @@ fn main() {
          \"edges\": {}}},\n  \
          \"determinism\": {{\"threads_checked\": [1, 2, 8], \"bit_identical\": {deterministic}}},\n  \
          \"metrics\": {{\"mc_escape_walks_per_sec\": {:.0}, \"amc_paired_pairs_per_sec\": {:.0}, \
-         \"wilson_trees_per_sec\": {:.2}, \"prefetch_speedup\": {prefetch_bulk:.3}, \
-         \"prefetch_speedup_wilson\": {prefetch_wilson:.3}}},\n  \
-         \"lane_sweep\": {{{sweep_json}, \"auto\": \"{auto:?}\"}},\n  \
+         \"wilson_trees_per_sec\": {:.2}}},\n  \
          \"workloads\": [\n{}\n  ]\n}}",
         args.quick,
         args.seed,

@@ -119,7 +119,7 @@ pub fn validate_ergodic(g: &Graph) -> Result<(), GraphError> {
 }
 
 /// Breadth-first distances (in hops) from `source`; unreachable nodes get
-/// `usize::MAX`. Used in tests and by the mixing-time diagnostics.
+/// `usize::MAX`.
 pub fn bfs_distances(g: &Graph, source: NodeId) -> Vec<usize> {
     let mut dist = vec![usize::MAX; g.num_nodes()];
     let mut queue = VecDeque::new();

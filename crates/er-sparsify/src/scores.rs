@@ -17,7 +17,8 @@
 //!   (`r(e) = Pr[e ∈ UST]`, the HAY identity).
 
 use er_core::{ApproxConfig, EstimatorError};
-use er_graph::{Graph, NodeId};
+use er_graph::analysis::is_connected;
+use er_graph::{Graph, GraphError, NodeId};
 use er_linalg::{LaplacianSolver, ResistanceSketch};
 use er_service::{Accuracy, BackendChoice, Query, Request, ResistanceService};
 use er_walks::kernel::{self, ScratchPool};
@@ -119,6 +120,11 @@ impl EdgeScores {
                 edges.iter().map(|&(u, v)| sketch.query(u, v)).collect()
             }
             ScoreMethod::SpanningTrees { samples } => {
+                // Wilson's walks from another component never reach the
+                // tree, so a disconnected graph would hang the sampler.
+                if !is_connected(graph) {
+                    return Err(EstimatorError::Graph(GraphError::NotConnected));
+                }
                 let samples = samples.max(1);
                 // Tally tree membership per *edge id* through the walk
                 // kernel's scratch layer: each Wilson tree contributes its
@@ -271,6 +277,30 @@ mod tests {
                 .all(|&s| (EdgeScores::SCORE_FLOOR..=1.0).contains(&s)));
             assert!(!scores.is_empty());
             assert_eq!(scores.method(), method);
+        }
+    }
+
+    #[test]
+    fn spanning_trees_on_a_disconnected_graph_are_a_typed_error() {
+        // Two disjoint triangles: Wilson's walks from the second never reach
+        // a tree rooted in the first, so scoring must refuse up front, as
+        // GEER does, instead of sampling forever.
+        let g = er_graph::GraphBuilder::from_edges(
+            6,
+            vec![(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],
+        )
+        .build()
+        .unwrap();
+        for method in [
+            ScoreMethod::SpanningTrees { samples: 8 },
+            ScoreMethod::Geer { epsilon: 0.1 },
+        ] {
+            let result = EdgeScores::compute_with_threads(&g, method, 7, 1);
+            assert!(
+                matches!(result, Err(EstimatorError::Graph(GraphError::NotConnected))),
+                "{method:?}: {:?}",
+                result.map(|s| s.len())
+            );
         }
     }
 

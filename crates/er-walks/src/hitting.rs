@@ -5,9 +5,9 @@
 //! * Single-walk reference functions ([`escape_walk`], [`first_hit_walk`])
 //!   that step one walk at a time — the executable specification the batch
 //!   layer is tested against, and still the right tool for one-off trials.
-//! * Lane-batched bulk trials ([`escape_trials`], [`first_hit_trials`],
-//!   [`commute_trials`]) that run whole trial budgets on the zero-allocation
-//!   kernel's variable-length lockstep driver
+//! * Lane-batched bulk trials ([`escape_trials`], [`first_hit_trials`]) that
+//!   run whole trial budgets on the zero-allocation kernel's variable-length
+//!   lockstep driver
 //!   ([`WalkKernel::batch_until`](crate::kernel::WalkKernel::batch_until)):
 //!   every lane carries its own termination predicate and retired lanes are
 //!   refilled immediately, so the dependent cache-miss chains of concurrent
@@ -111,7 +111,7 @@ impl EscapeTally {
 /// Trial `i` draws from RNG stream `(seed, i)` with exactly the draw
 /// schedule of [`escape_walk`], so the tally is a pure function of
 /// `(graph, s, t, max_steps, trials, seed)` — bit-identical at any thread
-/// count and any [`LaneWidth`](crate::kernel::LaneWidth).
+/// count.
 pub fn escape_trials(
     graph: &Graph,
     s: NodeId,
@@ -133,7 +133,7 @@ pub fn escape_trials(
                 max_steps,
                 seed,
                 range,
-                &|_prev, next, _steps, _flags: &mut u64| {
+                &|_prev, next, _steps| {
                     if next == t {
                         Some(true)
                     } else if next == s {
@@ -259,7 +259,7 @@ pub fn first_hit_trials(
                 max_steps,
                 seed,
                 range,
-                &|prev, next, _steps, _flags: &mut u64| (next == t).then_some(prev == s),
+                &|prev, next, _steps| (next == t).then_some(prev == s),
                 &mut |_, verdict, steps| match verdict {
                     Some(true) => {
                         tally.via_edge += 1;
@@ -278,98 +278,6 @@ pub fn first_hit_trials(
         },
         |total, part| total.merge(part),
     )
-}
-
-/// Outcome tallies of a bulk commute-time run ([`commute_trials`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CommuteTally {
-    /// Round trips `s → t → s` completed within the step cap.
-    pub completed: u64,
-    /// Total steps of the completed round trips.
-    pub completed_steps: u64,
-    /// Walks that hit the step cap mid-trip.
-    pub truncated: u64,
-}
-
-/// Runs `trials` round-trip (`s → t → s`) walks on the lane-batched kernel
-/// and tallies the completed commute lengths. The per-lane flag word of the
-/// variable-length driver carries the "has visited `t` yet" bit, the state a
-/// round-trip predicate needs.
-pub fn commute_trials(
-    graph: &Graph,
-    s: NodeId,
-    t: NodeId,
-    max_steps: usize,
-    trials: u64,
-    seed: u64,
-    threads: usize,
-) -> CommuteTally {
-    debug_assert_ne!(s, t);
-    let kernel = WalkKernel::new(graph);
-    par::par_fold_ranges(
-        trials,
-        threads,
-        CommuteTally::default,
-        |range, tally: &mut CommuteTally| {
-            kernel.batch_until(
-                s,
-                max_steps,
-                seed,
-                range,
-                &|_prev, next, _steps, reached_t: &mut u64| {
-                    if *reached_t == 0 {
-                        if next == t {
-                            *reached_t = 1;
-                        }
-                        None
-                    } else if next == s {
-                        Some(())
-                    } else {
-                        None
-                    }
-                },
-                &mut |_, verdict, steps| match verdict {
-                    Some(()) => {
-                        tally.completed += 1;
-                        tally.completed_steps += steps;
-                    }
-                    None => tally.truncated += 1,
-                },
-            );
-        },
-        |total, part| {
-            total.completed += part.completed;
-            total.completed_steps += part.completed_steps;
-            total.truncated += part.truncated;
-        },
-    )
-}
-
-/// Estimates the commute time `c(s, t)` (expected steps of a round trip
-/// `s → t → s`) from `trials` independent round-trip walks on the
-/// lane-batched kernel. Returns `None` if every trial hit the step cap.
-///
-/// `r(s, t) = c(s, t) / 2m` gives yet another consistency check used by the
-/// integration tests; this estimator is not part of the paper's evaluated
-/// methods but documents the commute-time interpretation of Section 1.
-pub fn commute_time_estimate(
-    graph: &Graph,
-    s: NodeId,
-    t: NodeId,
-    trials: usize,
-    max_steps: usize,
-    seed: u64,
-    threads: usize,
-) -> Option<f64> {
-    if s == t {
-        return Some(0.0);
-    }
-    let tally = commute_trials(graph, s, t, max_steps, trials as u64, seed, threads);
-    if tally.completed == 0 {
-        None
-    } else {
-        Some(tally.completed_steps as f64 / tally.completed as f64)
-    }
 }
 
 #[cfg(test)]
@@ -507,16 +415,11 @@ mod tests {
         let g = generators::social_network_like(200, 8.0, 9).unwrap();
         let base = escape_trials(&g, 0, 100, 10_000, 5_000, 42, 1);
         let base_hit = first_hit_trials(&g, 0, 100, 10_000, 3_000, 42, 1);
-        let base_commute = commute_trials(&g, 0, 100, 100_000, 500, 42, 1);
         for threads in [2, 8] {
             assert_eq!(base, escape_trials(&g, 0, 100, 10_000, 5_000, 42, threads));
             assert_eq!(
                 base_hit,
                 first_hit_trials(&g, 0, 100, 10_000, 3_000, 42, threads)
-            );
-            assert_eq!(
-                base_commute,
-                commute_trials(&g, 0, 100, 100_000, 500, 42, threads)
             );
         }
     }
@@ -537,17 +440,5 @@ mod tests {
         let tally = escape_trials(&g, 0, 49, 1, 100, 5, 1);
         assert_eq!(tally.truncated, 100);
         assert_eq!(tally.steps, 100, "truncated walks charge max_steps each");
-    }
-
-    #[test]
-    fn commute_time_matches_er_identity_on_triangle() {
-        // c(s, t) = 2 m r(s, t) = 2 * 3 * 2/3 = 4 on the triangle.
-        let g = generators::complete(3).unwrap();
-        let c = commute_time_estimate(&g, 0, 1, 20_000, 100_000, 23, 1).unwrap();
-        assert!((c - 4.0).abs() < 0.1, "commute time {c}");
-        assert_eq!(commute_time_estimate(&g, 2, 2, 5, 10, 23, 1), Some(0.0));
-        // An unreachable cap leaves no completed trips.
-        let path = generators::path(40).unwrap();
-        assert_eq!(commute_time_estimate(&path, 0, 39, 50, 2, 23, 1), None);
     }
 }

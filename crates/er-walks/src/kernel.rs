@@ -16,16 +16,12 @@
 //!   the row offset and degree are loaded once per step and the neighbour
 //!   index comes from Lemire's widening-multiply bounded reduction
 //!   (one 64×64→128 multiply, no division, no rejection loop). The batched
-//!   drivers ([`WalkKernel::batch_endpoints`], [`WalkKernel::batch_visits`])
+//!   drivers — fixed-length ([`WalkKernel::batch_endpoints`],
+//!   [`WalkKernel::batch_visits`]), variable-length
+//!   ([`WalkKernel::batch_until`]) and paired ([`WalkKernel::batch_pairs`]) —
 //!   additionally run [`LANES`] independent walks in lockstep so the
 //!   dependent cache-miss chains of concurrent walks overlap instead of
 //!   serialising — random walking is latency-bound, not compute-bound.
-//!   Each lane can also **prefetch ahead**: the moment a lane resolves its
-//!   next node, its neighbour row is software-prefetched (x86_64; no-op
-//!   elsewhere) so the load the lane will issue a full lockstep round later
-//!   starts now. Prefetch never changes a value and is opt-in via
-//!   [`WalkKernel::with_prefetch`] — measured, it only pays when lanes are
-//!   scarce (the 3-lane Wilson driver), and costs at a full lane block.
 //! * [`WalkScratch`] / [`ScratchPool`] — reusable epoch-stamped sparse
 //!   tallies: bumping a node count is O(1), "resetting" is an epoch
 //!   increment, and merging walks the touched-node list instead of a full
@@ -45,78 +41,18 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// The default (middle) lockstep lane width, [`LaneWidth::L16`] as a plain
-/// constant. Kept for callers that size work blocks around the lane count;
-/// the kernel itself now picks its width per graph (see [`LaneWidth::auto`])
-/// and every driver produces identical results at any width.
+/// Lockstep lane width: how many independent walks each batched driver keeps
+/// in flight at once, so their dependent cache-miss chains overlap.
+///
+/// One width serves every graph: measured single-threaded on a 2-vCPU VM,
+/// neither 8 nor 32 lanes beat 16 outside run-to-run noise on CSRs from
+/// 176 KB to 54 MB. Every driver is results-neutral in the width: per-walk
+/// draws come from per-walk streams, and per-walk results are reported
+/// either in index order or into commutative accumulators.
 pub const LANES: usize = 16;
 
-// The lockstep drivers track live lanes in a u64 bitmask; a wider lane count
-// would silently truncate it, so fail the build instead if anyone retunes
-// past 64.
-const _: () = assert!(MAX_LANES <= 64, "lane masks are u64");
-
-/// The widest lane configuration the dispatcher can select.
-const MAX_LANES: usize = 32;
-
-/// Bitmask with the low `lanes` bits set.
-#[inline]
-const fn lane_mask(lanes: usize) -> u64 {
-    if lanes == 64 {
-        u64::MAX
-    } else {
-        (1u64 << lanes) - 1
-    }
-}
-
-/// Lockstep lane width of a [`WalkKernel`]: how many independent walks each
-/// driver keeps in flight at once.
-///
-/// More lanes overlap more of the dependent cache-miss chain — which pays
-/// off exactly when the CSR arrays miss cache. A cache-resident graph gains
-/// nothing from extra in-flight loads and instead pays for the larger lane
-/// state, so the width is chosen per graph by [`LaneWidth::auto`] (a bench
-/// sweep lives in the `walk_kernel` bin). Every driver is **results-neutral
-/// in the width**: per-walk draws come from per-walk streams and per-walk
-/// results are reported either in index order or into commutative
-/// accumulators, so retuning can never change a value — pinned by tests.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LaneWidth {
-    /// 8 lanes — cache-resident graphs, where latency hiding buys nothing.
-    L8,
-    /// 16 lanes — the default middle ground.
-    L16,
-    /// 32 lanes — large, latency-bound graphs.
-    L32,
-}
-
-impl LaneWidth {
-    /// The number of lanes this width runs.
-    pub const fn lanes(self) -> usize {
-        match self {
-            LaneWidth::L8 => 8,
-            LaneWidth::L16 => 16,
-            LaneWidth::L32 => 32,
-        }
-    }
-
-    /// Picks a lane width from the graph's CSR footprint: graphs whose
-    /// offset+neighbour arrays fit comfortably in the private caches walk
-    /// with 8 lanes, graphs past the last-level cache with 32, the middle
-    /// band with 16. Thresholds come from the `walk_kernel` bench sweep
-    /// (`--quick` prints per-width walks/sec next to the heuristic's pick).
-    pub fn auto(num_nodes: usize, num_edges: usize) -> LaneWidth {
-        let csr_bytes = (num_nodes + 1) * std::mem::size_of::<usize>()
-            + 2 * num_edges * std::mem::size_of::<NodeId>();
-        if csr_bytes <= 512 << 10 {
-            LaneWidth::L8
-        } else if csr_bytes <= 16 << 20 {
-            LaneWidth::L16
-        } else {
-            LaneWidth::L32
-        }
-    }
-}
+// The lockstep drivers track live lanes in the low bits of a u64 mask.
+const _: () = assert!(LANES < 64, "lane masks are u64");
 
 /// A 16-byte xoroshiro128++ generator, the RNG stream of one walk.
 ///
@@ -180,88 +116,14 @@ fn bounded(draw: u64, n: u64) -> u64 {
 pub struct WalkKernel<'g> {
     offsets: &'g [usize],
     neighbors: &'g [NodeId],
-    lanes: LaneWidth,
-    prefetch: bool,
 }
 
 impl<'g> WalkKernel<'g> {
-    /// Creates a kernel over `graph`'s CSR arrays, with the lockstep lane
-    /// width chosen per graph by [`LaneWidth::auto`] and prefetch-ahead off
-    /// (see [`WalkKernel::with_prefetch`] for when to opt in).
+    /// Creates a kernel over `graph`'s CSR arrays.
     #[inline]
     pub fn new(graph: &'g Graph) -> Self {
         let (offsets, neighbors) = graph.csr();
-        WalkKernel {
-            offsets,
-            neighbors,
-            lanes: LaneWidth::auto(graph.num_nodes(), graph.num_edges()),
-            prefetch: false,
-        }
-    }
-
-    /// Overrides the lockstep lane width (results are identical at any
-    /// width; only throughput changes).
-    #[must_use]
-    pub fn with_lanes(mut self, lanes: LaneWidth) -> Self {
-        self.lanes = lanes;
-        self
-    }
-
-    /// The lockstep lane width this kernel runs.
-    pub fn lanes(&self) -> LaneWidth {
-        self.lanes
-    }
-
-    /// Enables or disables prefetch-ahead (off by default): after a lane
-    /// resolves its next node, the lockstep drivers issue a software prefetch
-    /// of that node's neighbour row before servicing the next lane, so the
-    /// row is (partly) in cache by the time the lane steps again a full
-    /// round later. Prefetch only touches the cache, never a value —
-    /// results are bit-identical either way (pinned by tests).
-    ///
-    /// The `walk_kernel` bench's on/off sweep found prefetch pays only when
-    /// lanes are scarce: the 3-lane Wilson driver gains ~7% (it opts in),
-    /// while at a full 16-lane block the out-of-order window already keeps
-    /// enough rows in flight and the extra prefetch traffic *costs* ~16% —
-    /// hence off by default for the wide drivers.
-    #[must_use]
-    pub fn with_prefetch(mut self, prefetch: bool) -> Self {
-        self.prefetch = prefetch;
-        self
-    }
-
-    /// Whether prefetch-ahead is enabled.
-    pub fn prefetch_enabled(&self) -> bool {
-        self.prefetch
-    }
-
-    /// Issues a software prefetch of `v`'s CSR neighbour row (no-op when
-    /// disabled or off x86_64). The `offsets[v]` load this needs feeds only
-    /// the prefetch address, so out-of-order execution overlaps it with the
-    /// surrounding lanes' work instead of stalling on it.
-    #[inline]
-    pub(crate) fn prefetch_row(&self, v: NodeId) {
-        if !self.prefetch {
-            return;
-        }
-        #[cfg(target_arch = "x86_64")]
-        {
-            let lo = self.offsets[v];
-            if let Some(first) = self.neighbors.get(lo) {
-                // SAFETY: `first` comes from an in-bounds slice element;
-                // `_mm_prefetch` reads nothing and writes nothing — its only
-                // effect is a cache-line fetch hint, harmless for any address.
-                #[allow(unsafe_code)]
-                unsafe {
-                    std::arch::x86_64::_mm_prefetch(
-                        (first as *const NodeId).cast::<i8>(),
-                        std::arch::x86_64::_MM_HINT_T0,
-                    );
-                }
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = v;
+        WalkKernel { offsets, neighbors }
     }
 
     /// Number of nodes in the underlying CSR (the offsets array has one
@@ -339,8 +201,7 @@ impl<'g> WalkKernel<'g> {
     ///
     /// Lockstep execution only reorders the memory accesses of independent
     /// walks, never the draws within one walk, so every walk's result is
-    /// identical to running [`WalkKernel::endpoint`] on its own stream —
-    /// at any [`LaneWidth`].
+    /// identical to running [`WalkKernel::endpoint`] on its own stream.
     pub fn batch_endpoints(
         &self,
         start: NodeId,
@@ -349,11 +210,7 @@ impl<'g> WalkKernel<'g> {
         range: Range<u64>,
         sink: &mut impl FnMut(u64, NodeId, u64),
     ) {
-        match self.lanes {
-            LaneWidth::L8 => self.lockstep::<8>(start, len, seed, range, &mut |_| {}, sink),
-            LaneWidth::L16 => self.lockstep::<16>(start, len, seed, range, &mut |_| {}, sink),
-            LaneWidth::L32 => self.lockstep::<32>(start, len, seed, range, &mut |_| {}, sink),
-        }
+        self.lockstep(start, len, seed, range, &mut |_| {}, sink)
     }
 
     /// Runs the walks with indices `range`, a lane block at a time in
@@ -372,37 +229,31 @@ impl<'g> WalkKernel<'g> {
         visit: &mut impl FnMut(NodeId),
     ) -> u64 {
         let mut total_steps = 0u64;
-        let mut finish = |_: u64, _: NodeId, steps: u64| total_steps += steps;
-        match self.lanes {
-            LaneWidth::L8 => self.lockstep::<8>(start, len, seed, range, visit, &mut finish),
-            LaneWidth::L16 => self.lockstep::<16>(start, len, seed, range, visit, &mut finish),
-            LaneWidth::L32 => self.lockstep::<32>(start, len, seed, range, visit, &mut finish),
-        }
+        self.lockstep(start, len, seed, range, visit, &mut |_, _, steps| {
+            total_steps += steps
+        });
         total_steps
     }
 
     /// Runs the **variable-length** walks with indices `range` in lockstep
     /// lanes, each walk stepping until `judge` returns a verdict or
     /// `max_steps` is reached; retired lanes are refilled from the pending
-    /// range immediately, so the memory-level parallelism never drains while
-    /// work remains — unlike the fixed-length drivers, whose lanes all
+    /// range in the same round, so the memory-level parallelism never drains
+    /// while work remains — unlike the fixed-length drivers, whose lanes all
     /// retire together.
     ///
     /// Each step draws one `u64` from the walk's own stream (`(seed, i)` for
     /// walk `i`) and moves to a uniformly random neighbour `next`; `judge`
-    /// then sees `(previous, next, steps_taken, &mut flags)` — `flags` is a
-    /// per-walk scratch word (zeroed per walk) for predicates that need
-    /// state, like "returned to `s` *after* visiting `t`". A `Some` verdict
-    /// retires the walk; exhausting `max_steps` (or stranding on an isolated
-    /// node) retires it with `None`. Every walk's draw sequence is identical
-    /// to stepping it alone on its own stream, so porting a sequential
+    /// then sees `(previous, next, steps_taken)`. A `Some` verdict retires
+    /// the walk; exhausting `max_steps` (or stranding on an isolated node)
+    /// retires it with `None`. Every walk's draw sequence is identical to
+    /// stepping it alone on its own stream, so porting a sequential
     /// walk-until loop onto this driver preserves its values bit for bit.
     ///
     /// `sink` receives `(index, verdict, steps)` once per walk in **retire
-    /// order**, which depends on the lane width and refill schedule (but not
-    /// on thread count — it is a pure function of `(seed, range, width)`).
-    /// Feed a commutative accumulator (outcome counts, step totals) to stay
-    /// results-neutral in the width; the bulk escape/first-hit tallies do.
+    /// order**, which depends on the refill schedule (a pure function of
+    /// `(seed, range)`, not of thread count). Feed a commutative accumulator
+    /// (outcome counts, step totals); the bulk escape/first-hit tallies do.
     pub fn batch_until<V, J>(
         &self,
         start: NodeId,
@@ -412,142 +263,7 @@ impl<'g> WalkKernel<'g> {
         judge: &J,
         sink: &mut impl FnMut(u64, Option<V>, u64),
     ) where
-        J: Fn(NodeId, NodeId, u64, &mut u64) -> Option<V>,
-    {
-        match self.lanes {
-            LaneWidth::L8 => {
-                self.lockstep_until::<8, V, J>(start, max_steps, seed, range, judge, sink)
-            }
-            LaneWidth::L16 => {
-                self.lockstep_until::<16, V, J>(start, max_steps, seed, range, judge, sink)
-            }
-            LaneWidth::L32 => {
-                self.lockstep_until::<32, V, J>(start, max_steps, seed, range, judge, sink)
-            }
-        }
-    }
-
-    /// Runs the **walk pairs** with indices `range` in lockstep lanes: pair
-    /// `i` draws from stream `(seed, i)` and runs a length-`len` walk from
-    /// `s` followed by a length-`len` walk from `t` **on the same stream, in
-    /// that order** — exactly the draw schedule of stepping the pair alone —
-    /// while the s-walks (then t-walks) of a whole lane block advance
-    /// together so their cache misses overlap.
-    ///
-    /// `visit_s` / `visit_t` fold each visited node into the pair's private
-    /// accumulator in walk order (s-walk first), and `finish` receives
-    /// `(index, accumulator, steps)` **in index order**, so floating-point
-    /// accumulation per pair and across pairs is bit-identical to the
-    /// sequential loop at any [`LaneWidth`]. This is AMC's walk-pair driver.
-    #[allow(clippy::too_many_arguments)]
-    pub fn batch_pairs<A, VS, VT>(
-        &self,
-        s: NodeId,
-        t: NodeId,
-        len: usize,
-        seed: u64,
-        range: Range<u64>,
-        visit_s: &VS,
-        visit_t: &VT,
-        finish: &mut impl FnMut(u64, A, u64),
-    ) where
-        A: Default + Copy,
-        VS: Fn(NodeId, &mut A),
-        VT: Fn(NodeId, &mut A),
-    {
-        match self.lanes {
-            LaneWidth::L8 => self
-                .lockstep_pairs::<8, A, VS, VT>(s, t, len, seed, range, visit_s, visit_t, finish),
-            LaneWidth::L16 => self
-                .lockstep_pairs::<16, A, VS, VT>(s, t, len, seed, range, visit_s, visit_t, finish),
-            LaneWidth::L32 => self
-                .lockstep_pairs::<32, A, VS, VT>(s, t, len, seed, range, visit_s, visit_t, finish),
-        }
-    }
-
-    /// The fixed-length lockstep driver behind [`WalkKernel::batch_endpoints`]
-    /// and [`WalkKernel::batch_visits`]: full blocks of `L` walks advance
-    /// together (a dead lane — one that hit an isolated node — is dropped
-    /// from the `alive` mask), the remainder runs sequentially. `on_step`
-    /// fires for every visited node of every walk (lane-interleaved across
-    /// walks, walk-ordered within one); `finish` fires once per walk with
-    /// `(index, endpoint, steps)` **in index order**. Unused callbacks
-    /// monomorphise away.
-    #[inline]
-    fn lockstep<const L: usize>(
-        &self,
-        start: NodeId,
-        len: usize,
-        seed: u64,
-        range: Range<u64>,
-        on_step: &mut impl FnMut(NodeId),
-        finish: &mut impl FnMut(u64, NodeId, u64),
-    ) {
-        let mut i = range.start;
-        while i + L as u64 <= range.end {
-            let mut rngs: [StreamRng; L] =
-                std::array::from_fn(|lane| StreamRng::new(seed, i + lane as u64));
-            let mut current = [start; L];
-            let mut steps = [0u64; L];
-            let mut alive: u64 = if len == 0 { 0 } else { lane_mask(L) };
-            for _ in 0..len {
-                if alive == 0 {
-                    break;
-                }
-                for lane in 0..L {
-                    if alive & (1 << lane) != 0 {
-                        match self.step(current[lane], &mut rngs[lane]) {
-                            Some(next) => {
-                                self.prefetch_row(next);
-                                current[lane] = next;
-                                steps[lane] += 1;
-                                on_step(next);
-                            }
-                            None => alive &= !(1 << lane),
-                        }
-                    }
-                }
-            }
-            for lane in 0..L {
-                finish(i + lane as u64, current[lane], steps[lane]);
-            }
-            i += L as u64;
-        }
-        for j in i..range.end {
-            let mut rng = StreamRng::new(seed, j);
-            let mut current = start;
-            let mut steps = 0;
-            while steps < len as u64 {
-                match self.step(current, &mut rng) {
-                    Some(next) => {
-                        current = next;
-                        steps += 1;
-                        on_step(next);
-                    }
-                    None => break,
-                }
-            }
-            finish(j, current, steps);
-        }
-    }
-
-    /// The variable-length lane state machine behind
-    /// [`WalkKernel::batch_until`]: every lane carries its own walk index,
-    /// RNG stream, step count and flag word; a retired lane (verdict, step
-    /// cap, or isolated node) is refilled from the pending range in the same
-    /// lockstep round, so all `L` memory accesses stay in flight until the
-    /// work runs out.
-    #[inline]
-    fn lockstep_until<const L: usize, V, J>(
-        &self,
-        start: NodeId,
-        max_steps: usize,
-        seed: u64,
-        range: Range<u64>,
-        judge: &J,
-        sink: &mut impl FnMut(u64, Option<V>, u64),
-    ) where
-        J: Fn(NodeId, NodeId, u64, &mut u64) -> Option<V>,
+        J: Fn(NodeId, NodeId, u64) -> Option<V>,
     {
         if max_steps == 0 {
             // Every walk truncates before its first step.
@@ -557,13 +273,12 @@ impl<'g> WalkKernel<'g> {
             return;
         }
         let mut next_index = range.start;
-        let mut rngs: [StreamRng; L] = std::array::from_fn(|_| StreamRng::new(0, 0));
-        let mut current = [start; L];
-        let mut steps = [0u64; L];
-        let mut index = [0u64; L];
-        let mut flags = [0u64; L];
+        let mut rngs: [StreamRng; LANES] = std::array::from_fn(|_| StreamRng::new(0, 0));
+        let mut current = [start; LANES];
+        let mut steps = [0u64; LANES];
+        let mut index = [0u64; LANES];
         let mut alive: u64 = 0;
-        for lane in 0..L {
+        for lane in 0..LANES {
             if next_index < range.end {
                 rngs[lane] = StreamRng::new(seed, next_index);
                 index[lane] = next_index;
@@ -572,16 +287,15 @@ impl<'g> WalkKernel<'g> {
             }
         }
         while alive != 0 {
-            for lane in 0..L {
+            for lane in 0..LANES {
                 if alive & (1 << lane) == 0 {
                     continue;
                 }
                 // `Some(verdict)` retires the lane this round.
                 let retired = match self.step(current[lane], &mut rngs[lane]) {
                     Some(next) => {
-                        self.prefetch_row(next);
                         steps[lane] += 1;
-                        match judge(current[lane], next, steps[lane], &mut flags[lane]) {
+                        match judge(current[lane], next, steps[lane]) {
                             Some(v) => Some(Some(v)),
                             None => {
                                 current[lane] = next;
@@ -602,7 +316,6 @@ impl<'g> WalkKernel<'g> {
                         index[lane] = next_index;
                         current[lane] = start;
                         steps[lane] = 0;
-                        flags[lane] = 0;
                         next_index += 1;
                     } else {
                         alive &= !(1 << lane);
@@ -612,13 +325,20 @@ impl<'g> WalkKernel<'g> {
         }
     }
 
-    /// The paired lockstep driver behind [`WalkKernel::batch_pairs`]: a
-    /// (possibly partial) block of `L` pairs advances its s-walks together,
-    /// then its t-walks together, each pair continuing on its own stream, and
-    /// reports per-pair accumulators in index order.
-    #[inline]
+    /// Runs the **walk pairs** with indices `range` in lockstep lanes: pair
+    /// `i` draws from stream `(seed, i)` and runs a length-`len` walk from
+    /// `s` followed by a length-`len` walk from `t` **on the same stream, in
+    /// that order** — exactly the draw schedule of stepping the pair alone —
+    /// while the s-walks (then t-walks) of a whole lane block advance
+    /// together so their cache misses overlap.
+    ///
+    /// `visit_s` / `visit_t` fold each visited node into the pair's private
+    /// accumulator in walk order (s-walk first), and `finish` receives
+    /// `(index, accumulator, steps)` **in index order**, so floating-point
+    /// accumulation per pair and across pairs is bit-identical to the
+    /// sequential loop. This is AMC's walk-pair driver.
     #[allow(clippy::too_many_arguments)]
-    fn lockstep_pairs<const L: usize, A, VS, VT>(
+    pub fn batch_pairs<A, VS, VT>(
         &self,
         s: NodeId,
         t: NodeId,
@@ -635,16 +355,16 @@ impl<'g> WalkKernel<'g> {
     {
         let mut i = range.start;
         while i < range.end {
-            let block = ((range.end - i).min(L as u64)) as usize;
+            let block = ((range.end - i).min(LANES as u64)) as usize;
             // Streams beyond the block are never drawn from; building them
             // unconditionally keeps the array initialisation branch-free.
-            let mut rngs: [StreamRng; L] =
+            let mut rngs: [StreamRng; LANES] =
                 std::array::from_fn(|lane| StreamRng::new(seed, i + lane as u64));
-            let mut acc = [A::default(); L];
-            let mut steps = [0u64; L];
+            let mut acc = [A::default(); LANES];
+            let mut steps = [0u64; LANES];
             // s-phase, then t-phase, each pair continuing on its own stream.
-            self.pair_phase::<L, A>(s, len, block, &mut rngs, &mut acc, &mut steps, visit_s);
-            self.pair_phase::<L, A>(t, len, block, &mut rngs, &mut acc, &mut steps, visit_t);
+            self.pair_phase(s, len, block, &mut rngs, &mut acc, &mut steps, visit_s);
+            self.pair_phase(t, len, block, &mut rngs, &mut acc, &mut steps, visit_t);
             for lane in 0..block {
                 finish(i + lane as u64, acc[lane], steps[lane]);
             }
@@ -652,24 +372,89 @@ impl<'g> WalkKernel<'g> {
         }
     }
 
-    /// One phase of [`WalkKernel::lockstep_pairs`]: the first `block` lanes
+    /// The fixed-length lockstep driver behind [`WalkKernel::batch_endpoints`]
+    /// and [`WalkKernel::batch_visits`]: full blocks of [`LANES`] walks
+    /// advance together (a dead lane — one that hit an isolated node — is
+    /// dropped from the `alive` mask), the remainder runs sequentially.
+    /// `on_step` fires for every visited node of every walk (lane-interleaved
+    /// across walks, walk-ordered within one); `finish` fires once per walk
+    /// with `(index, endpoint, steps)` **in index order**. Unused callbacks
+    /// monomorphise away.
+    #[inline]
+    fn lockstep(
+        &self,
+        start: NodeId,
+        len: usize,
+        seed: u64,
+        range: Range<u64>,
+        on_step: &mut impl FnMut(NodeId),
+        finish: &mut impl FnMut(u64, NodeId, u64),
+    ) {
+        let mut i = range.start;
+        while i + LANES as u64 <= range.end {
+            let mut rngs: [StreamRng; LANES] =
+                std::array::from_fn(|lane| StreamRng::new(seed, i + lane as u64));
+            let mut current = [start; LANES];
+            let mut steps = [0u64; LANES];
+            let mut alive: u64 = if len == 0 { 0 } else { (1 << LANES) - 1 };
+            for _ in 0..len {
+                if alive == 0 {
+                    break;
+                }
+                for lane in 0..LANES {
+                    if alive & (1 << lane) != 0 {
+                        match self.step(current[lane], &mut rngs[lane]) {
+                            Some(next) => {
+                                current[lane] = next;
+                                steps[lane] += 1;
+                                on_step(next);
+                            }
+                            None => alive &= !(1 << lane),
+                        }
+                    }
+                }
+            }
+            for lane in 0..LANES {
+                finish(i + lane as u64, current[lane], steps[lane]);
+            }
+            i += LANES as u64;
+        }
+        for j in i..range.end {
+            let mut rng = StreamRng::new(seed, j);
+            let mut current = start;
+            let mut steps = 0;
+            while steps < len as u64 {
+                match self.step(current, &mut rng) {
+                    Some(next) => {
+                        current = next;
+                        steps += 1;
+                        on_step(next);
+                    }
+                    None => break,
+                }
+            }
+            finish(j, current, steps);
+        }
+    }
+
+    /// One phase of [`WalkKernel::batch_pairs`]: the first `block` lanes
     /// walk `len` steps from `start` in lockstep, each continuing on its own
     /// stream and folding visits into its own accumulator; a lane hitting an
     /// isolated node goes dead for the rest of the phase.
     #[inline]
     #[allow(clippy::too_many_arguments)]
-    fn pair_phase<const L: usize, A>(
+    fn pair_phase<A>(
         &self,
         start: NodeId,
         len: usize,
         block: usize,
-        rngs: &mut [StreamRng; L],
-        acc: &mut [A; L],
-        steps: &mut [u64; L],
+        rngs: &mut [StreamRng; LANES],
+        acc: &mut [A; LANES],
+        steps: &mut [u64; LANES],
         visit: &impl Fn(NodeId, &mut A),
     ) {
-        let mut current = [start; L];
-        let mut alive = if len == 0 { 0 } else { lane_mask(block) };
+        let mut current = [start; LANES];
+        let mut alive: u64 = if len == 0 { 0 } else { (1 << block) - 1 };
         for _ in 0..len {
             if alive == 0 {
                 break;
@@ -678,7 +463,6 @@ impl<'g> WalkKernel<'g> {
                 if alive & (1 << lane) != 0 {
                     match self.step(current[lane], &mut rngs[lane]) {
                         Some(next) => {
-                            self.prefetch_row(next);
                             current[lane] = next;
                             steps[lane] += 1;
                             visit(next, &mut acc[lane]);
@@ -1052,85 +836,15 @@ mod tests {
     }
 
     #[test]
-    fn lane_width_auto_tracks_csr_footprint() {
-        // Tiny graphs stay cache-resident -> fewest lanes; huge CSRs are
-        // latency-bound -> most lanes.
-        assert_eq!(LaneWidth::auto(100, 500), LaneWidth::L8);
-        assert_eq!(LaneWidth::auto(100_000, 400_000), LaneWidth::L16);
-        assert_eq!(LaneWidth::auto(2_000_000, 16_000_000), LaneWidth::L32);
-        assert_eq!(LaneWidth::L8.lanes(), 8);
-        assert_eq!(LaneWidth::L16.lanes(), 16);
-        assert_eq!(LaneWidth::L32.lanes(), 32);
-    }
-
-    #[test]
-    fn fixed_length_drivers_are_lane_width_invariant() {
-        let g = generators::social_network_like(250, 8.0, 5).unwrap();
-        let runs = |width: LaneWidth| {
-            let kernel = WalkKernel::new(&g).with_lanes(width);
-            let mut ends = Vec::new();
-            kernel.batch_endpoints(0, 11, 77, 0..101, &mut |i, end, steps| {
-                ends.push((i, end, steps));
-            });
-            let mut visits = vec![0u64; g.num_nodes()];
-            let steps = kernel.batch_visits(3, 9, 78, 0..67, &mut |v| visits[v] += 1);
-            (ends, visits, steps)
-        };
-        let base = runs(LaneWidth::L8);
-        assert_eq!(base, runs(LaneWidth::L16));
-        assert_eq!(base, runs(LaneWidth::L32));
-    }
-
-    #[test]
-    fn prefetch_toggle_is_results_neutral_in_every_driver() {
-        // Prefetch only warms the cache; all four lockstep drivers must
-        // produce identical bits with it on or off.
-        let g = generators::social_network_like(250, 8.0, 5).unwrap();
-        let weight = |u: NodeId| (u as f64 + 1.0).ln();
-        let run = |prefetch: bool| {
-            let kernel = WalkKernel::new(&g).with_prefetch(prefetch);
-            assert_eq!(kernel.prefetch_enabled(), prefetch);
-            let mut ends = Vec::new();
-            kernel.batch_endpoints(0, 11, 77, 0..101, &mut |i, e, s| ends.push((i, e, s)));
-            let mut visits = vec![0u64; g.num_nodes()];
-            let vsteps = kernel.batch_visits(3, 9, 78, 0..67, &mut |v| visits[v] += 1);
-            let mut until = Vec::new();
-            kernel.batch_until(
-                5,
-                200,
-                0xface,
-                0..70,
-                &|_, next, _, _: &mut u64| (next == 5).then_some(()),
-                &mut |i, v, s| until.push((i, v, s)),
-            );
-            let mut pairs = Vec::new();
-            kernel.batch_pairs(
-                0,
-                100,
-                13,
-                0x9a12,
-                0..40,
-                &|u, z: &mut f64| *z += weight(u),
-                &|u, z: &mut f64| *z -= 0.5 * weight(u),
-                &mut |i, z, s| pairs.push((i, z.to_bits(), s)),
-            );
-            (ends, visits, vsteps, until, pairs)
-        };
-        assert_eq!(run(true), run(false));
-    }
-
-    #[test]
     fn batch_until_matches_per_walk_reference_and_refills_lanes() {
         // Walk until first return to the start (or the cap): compare the
         // variable-length lockstep driver against stepping each stream
         // alone, across ranges that exercise refill (more pending walks
-        // than lanes), a partial first block (fewer than one full block of
-        // the *widest* width) and an empty range — at every lane width.
+        // than lanes), a partial first block and an empty range.
         let g = generators::social_network_like(300, 7.0, 6).unwrap();
+        let kernel = WalkKernel::new(&g);
         let (start, max_steps, seed) = (5, 200, 0xface);
-        let judge = |_prev: NodeId, next: NodeId, _steps: u64, _flags: &mut u64| {
-            (next == start).then_some(())
-        };
+        let judge = |_prev: NodeId, next: NodeId, _steps: u64| (next == start).then_some(());
         let reference = |range: Range<u64>| {
             let mut out = Vec::new();
             for i in range {
@@ -1138,7 +852,7 @@ mod tests {
                 let mut current = start;
                 let mut result = (i, None, max_steps as u64);
                 for step in 1..=max_steps as u64 {
-                    let Some(next) = WalkKernel::new(&g).step(current, &mut rng) else {
+                    let Some(next) = kernel.step(current, &mut rng) else {
                         result = (i, None, step - 1);
                         break;
                     };
@@ -1153,49 +867,47 @@ mod tests {
             out.sort_unstable();
             out
         };
-        for width in [LaneWidth::L8, LaneWidth::L16, LaneWidth::L32] {
-            let kernel = WalkKernel::new(&g).with_lanes(width);
-            for range in [0u64..5, 7..7, 0..32, 3..(3 * 32 + 17)] {
-                let mut got = Vec::new();
-                kernel.batch_until(
-                    start,
-                    max_steps,
-                    seed,
-                    range.clone(),
-                    &judge,
-                    &mut |i, v, s| {
-                        got.push((i, v, s));
-                    },
-                );
-                assert_eq!(
-                    got.len() as u64,
-                    range.end - range.start,
-                    "every walk retires exactly once ({width:?}, {range:?})"
-                );
-                got.sort_unstable();
-                assert_eq!(got, reference(range.clone()), "{width:?} {range:?}");
-            }
-            // A zero step cap truncates every walk before its first draw.
+        let lanes = LANES as u64;
+        for range in [0u64..5, 7..7, 0..lanes, 3..(3 * lanes + 17)] {
             let mut got = Vec::new();
-            kernel.batch_until(start, 0, seed, 4..9, &judge, &mut |i, v, s| {
-                got.push((i, v, s))
-            });
-            assert_eq!(got, (4..9).map(|i| (i, None, 0)).collect::<Vec<_>>());
+            kernel.batch_until(
+                start,
+                max_steps,
+                seed,
+                range.clone(),
+                &judge,
+                &mut |i, v, s| {
+                    got.push((i, v, s));
+                },
+            );
+            assert_eq!(
+                got.len() as u64,
+                range.end - range.start,
+                "every walk retires exactly once ({range:?})"
+            );
+            got.sort_unstable();
+            assert_eq!(got, reference(range.clone()), "{range:?}");
         }
+        // A zero step cap truncates every walk before its first draw.
+        let mut got = Vec::new();
+        kernel.batch_until(start, 0, seed, 4..9, &judge, &mut |i, v, s| {
+            got.push((i, v, s))
+        });
+        assert_eq!(got, (4..9).map(|i| (i, None, 0)).collect::<Vec<_>>());
     }
 
     #[test]
     fn batch_pairs_matches_sequential_pair_walks_bit_for_bit() {
         // Pair i must see exactly the draw schedule and float accumulation
         // order of running its s-walk then t-walk alone on stream (seed, i),
-        // and finish must fire in index order — at every lane width.
+        // and finish must fire in index order.
         let g = generators::social_network_like(200, 9.0, 1).unwrap();
+        let kernel = WalkKernel::new(&g);
         let (s, t, len, seed) = (0usize, 100usize, 13usize, 0x9a12u64);
         let weight = |u: NodeId| (u as f64 + 1.0).ln();
-        let reference: Vec<(u64, f64, u64)> = (0..(2 * 32 + 9) as u64)
+        let reference: Vec<(u64, f64, u64)> = (0..(2 * LANES + 9) as u64)
             .map(|i| {
                 let mut rng = StreamRng::new(seed, i);
-                let kernel = WalkKernel::new(&g);
                 let mut z = 0.0;
                 let mut steps = 0;
                 steps += kernel.for_each_visit(s, len, &mut rng, |u| z += weight(u));
@@ -1203,36 +915,27 @@ mod tests {
                 (i, z, steps)
             })
             .collect();
-        for width in [LaneWidth::L8, LaneWidth::L16, LaneWidth::L32] {
-            let kernel = WalkKernel::new(&g).with_lanes(width);
-            for (range, expect) in [
-                (0u64..reference.len() as u64, &reference[..]),
-                (0..5, &reference[..5]), // fewer pairs than one block
-                (9..9, &reference[..0]), // empty
-            ] {
-                let mut got = Vec::new();
-                kernel.batch_pairs(
-                    s,
-                    t,
-                    len,
-                    seed,
-                    range,
-                    &|u, z: &mut f64| *z += weight(u),
-                    &|u, z: &mut f64| *z -= 0.5 * weight(u),
-                    &mut |i, z, steps| got.push((i, z, steps)),
-                );
-                let expect: Vec<(u64, f64, u64)> = expect.to_vec();
-                assert_eq!(got.len(), expect.len());
-                for (g_r, e_r) in got.iter().zip(&expect) {
-                    assert_eq!(g_r.0, e_r.0, "index order preserved");
-                    assert_eq!(
-                        g_r.1.to_bits(),
-                        e_r.1.to_bits(),
-                        "pair {} at {width:?}",
-                        g_r.0
-                    );
-                    assert_eq!(g_r.2, e_r.2);
-                }
+        for (range, expect) in [
+            (0u64..reference.len() as u64, &reference[..]),
+            (0..5, &reference[..5]), // fewer pairs than one block
+            (9..9, &reference[..0]), // empty
+        ] {
+            let mut got = Vec::new();
+            kernel.batch_pairs(
+                s,
+                t,
+                len,
+                seed,
+                range,
+                &|u, z: &mut f64| *z += weight(u),
+                &|u, z: &mut f64| *z -= 0.5 * weight(u),
+                &mut |i, z, steps| got.push((i, z, steps)),
+            );
+            assert_eq!(got.len(), expect.len());
+            for (g_r, e_r) in got.iter().zip(expect) {
+                assert_eq!(g_r.0, e_r.0, "index order preserved");
+                assert_eq!(g_r.1.to_bits(), e_r.1.to_bits(), "pair {}", g_r.0);
+                assert_eq!(g_r.2, e_r.2);
             }
         }
     }

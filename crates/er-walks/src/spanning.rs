@@ -62,10 +62,11 @@ impl SpanningTree {
 /// Samples a uniform spanning tree of a connected graph with Wilson's
 /// algorithm, rooted at `root`.
 ///
-/// Panics in debug builds if the graph is disconnected (the loop-erased walk
-/// from an unreachable node would never terminate); in release builds an
-/// unreachable component would loop forever, so callers must validate
-/// connectivity first (as `er-core` does).
+/// The graph must be connected, and callers must check that first (as
+/// `er-core` and `er-sparsify` do): in a disconnected graph the loop-erased
+/// walk from a node outside `root`'s component never reaches the tree and
+/// loops forever, in debug and release builds alike. The one case that
+/// panics instead is reaching an isolated node.
 pub fn sample_spanning_tree<R: Rng + ?Sized>(
     graph: &Graph,
     root: NodeId,
@@ -116,15 +117,15 @@ const WILSON_STATE_BUDGET: usize = 64 << 20;
 /// Below this CSR footprint [`sample_spanning_trees`] takes the single-lane
 /// sequential fast path: steps on a cache-resident graph are hits, so
 /// lockstep has no miss latency to hide and only adds per-step lane
-/// overhead. The `walk_kernel` bench sweep measured the crossover between a
-/// ~1.4 MiB CSR (every lane count loses) and a ~2.7 MiB CSR (2–3 lanes win
-/// ~1.25x).
+/// overhead. A lane-count sweep when this driver landed put the crossover
+/// between a ~1.4 MiB CSR (every lane count loses) and a ~2.7 MiB CSR (2–3
+/// lanes win ~1.25x).
 const WILSON_SEQUENTIAL_CSR_BYTES: usize = 2 << 20;
 
 /// Lockstep lane count for out-of-cache graphs. Each Wilson lane drags its
 /// own O(n) in-tree/parent/successor state through the cache, so — unlike
 /// the O(1)-state walk lanes — a few deep lanes beat a full lane block: the
-/// bench sweep peaked at 2–3 lanes (~1.15–1.25x over sequential) and gave
+/// same sweep peaked at 2–3 lanes (~1.15–1.25x over sequential) and gave
 /// the whole win back by 8–16 lanes.
 const WILSON_WIDE_LANES: usize = 3;
 
@@ -219,27 +220,25 @@ impl WilsonLane {
 /// accesses of *different* trees; within one tree the draw schedule is
 /// exactly that of [`sample_spanning_tree`] on the same stream, so every
 /// tree's edge set (and parent orientation) is bit-identical to the
-/// sequential sampler — at any lane width or thread count. A lane whose
+/// sequential sampler — at any lane count or thread count. A lane whose
 /// tree completes refills from the pending range in the same round, so the
 /// memory-level parallelism never drains while trees remain.
 ///
 /// `sink` fires once per tree in **retire order** (a pure function of
-/// `(seed, range, lanes)`, not of thread count); feed commutative
+/// `(seed, range)` and the graph, not of thread count); feed commutative
 /// accumulators — tree-membership counts and step totals are.
 /// `walk_steps` is the tree's true loop-erased-walk step count (one RNG draw
 /// per step), which the HAY cost accounting reports instead of the old
 /// `n − 1` lower bound.
 ///
-/// Lane count is picked by CSR footprint (see [`sample_spanning_trees_on`]
-/// for an explicit override): a cache-resident graph takes the single-lane
-/// fast path — its steps are cache hits, so there is no miss latency for
-/// lockstep to hide and the lane machinery would only cost — while a larger
-/// graph runs a few (currently 3) trees in lockstep. Unlike plain walk
-/// lanes, every Wilson lane drags O(n) tree state with it, so the sweep in
-/// the `walk_kernel` bench found a few deep lanes beat a full lane block.
+/// Lane count is picked by CSR footprint: a cache-resident graph takes the
+/// single-lane fast path — its steps are cache hits, so there is no miss
+/// latency for lockstep to hide and the lane machinery would only cost —
+/// while a larger graph runs a few (currently 3) trees in lockstep. Unlike
+/// plain walk lanes, every Wilson lane drags O(n) tree state with it, so a
+/// few deep lanes beat a full lane block.
 ///
-/// Panics on isolated nodes like [`sample_spanning_tree`]; callers must
-/// validate connectivity first.
+/// The graph must be connected, as for [`sample_spanning_tree`].
 pub fn sample_spanning_trees(
     graph: &Graph,
     root: NodeId,
@@ -253,32 +252,12 @@ pub fn sample_spanning_trees(
     } else {
         WILSON_WIDE_LANES
     };
-    // Prefetch-ahead pays here precisely because lanes are scarce: with only
-    // a few walks in flight the out-of-order window cannot hide every row
-    // miss on its own (the wide drivers leave it off for the same reason).
-    let kernel = WalkKernel::new(graph).with_prefetch(lanes > 1);
-    run_lockstep(kernel, root, seed, range, lanes, sink)
-}
-
-/// [`sample_spanning_trees`] on an explicit [`WalkKernel`], with the lane
-/// count taken from the kernel's lane width instead of the CSR-footprint
-/// rule — the entry point for the bench sweeps and the width/prefetch
-/// bit-identity tests. Results are identical for any kernel configuration.
-pub fn sample_spanning_trees_on(
-    kernel: WalkKernel<'_>,
-    root: NodeId,
-    seed: u64,
-    range: Range<u64>,
-    sink: &mut impl FnMut(u64, &SpanningTree, u64),
-) {
-    let lanes = kernel.lanes().lanes();
-    run_lockstep(kernel, root, seed, range, lanes, sink)
+    run_lockstep(WalkKernel::new(graph), root, seed, range, lanes, sink)
 }
 
 /// Runs one reusable lane straight through the range — the cache-resident
 /// fast path, equivalent to [`sample_spanning_tree`] per index but without
-/// per-tree allocations or the lockstep round loop (and without prefetch,
-/// which is wasted work when every row is already resident).
+/// per-tree allocations or the lockstep round loop.
 fn run_sequential(
     kernel: WalkKernel<'_>,
     root: NodeId,
@@ -363,7 +342,6 @@ fn run_lockstep(
             let v = kernel
                 .step(state.u, &mut state.rng)
                 .expect("connected graph has no isolated nodes");
-            kernel.prefetch_row(v);
             state.steps += 1;
             state.next[state.u] = v;
             state.u = v;
@@ -383,7 +361,6 @@ fn run_lockstep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::LaneWidth;
     use er_graph::generators;
     use rand::rngs::StdRng;
     use rand::{RngCore, SeedableRng};
@@ -414,32 +391,62 @@ mod tests {
         (tree, rng.draws)
     }
 
+    /// Every tree the lockstep driver emits at `lanes` lanes, as
+    /// `(index, parent, steps)` sorted by index.
+    fn lockstep_trees(
+        g: &Graph,
+        root: NodeId,
+        seed: u64,
+        range: Range<u64>,
+        lanes: usize,
+    ) -> Vec<(u64, Vec<NodeId>, u64)> {
+        let mut got = Vec::new();
+        run_lockstep(
+            WalkKernel::new(g),
+            root,
+            seed,
+            range,
+            lanes,
+            &mut |i, t, s| {
+                assert_eq!(t.root(), root);
+                got.push((i, t.parent.clone(), s));
+            },
+        );
+        got.sort_unstable_by_key(|e| e.0);
+        got
+    }
+
+    /// Asserts that `got` holds exactly the sequential sampler's tree and
+    /// draw count for every index of `range`.
+    fn assert_sequential_bits(
+        g: &Graph,
+        root: NodeId,
+        seed: u64,
+        range: Range<u64>,
+        got: &[(u64, Vec<NodeId>, u64)],
+    ) {
+        assert_eq!(got.len() as u64, range.end - range.start);
+        for ((gi, gparent, gsteps), i) in got.iter().zip(range) {
+            let (tree, draws) = sequential_tree(g, root, seed, i);
+            assert_eq!(*gi, i);
+            assert_eq!(*gparent, tree.parent, "tree {i}");
+            assert_eq!(*gsteps, draws, "draw schedule of tree {i}");
+        }
+    }
+
     #[test]
-    fn lockstep_trees_match_sequential_draw_schedules_at_every_width() {
+    fn lockstep_trees_match_sequential_draw_schedules_at_every_lane_count() {
         // Every tree the lockstep driver emits must equal the sequential
         // sampler's tree on the same stream — same parent orientation, not
         // just the same edge set — and its reported step count must equal
-        // the sequential draw count (one draw per step), at every width.
+        // the sequential draw count (one draw per step), at every lane count.
         let g = generators::social_network_like(180, 7.0, 12).unwrap();
         let (root, seed) = (3, 0x717e);
-        for width in [LaneWidth::L8, LaneWidth::L16, LaneWidth::L32] {
+        for lanes in [2, 3, 8, 16] {
             // Offset range: stream derivation must follow the absolute index.
             for range in [5u64..77, 0..1, 9..9, 0..3] {
-                let mut got = Vec::new();
-                let kernel = WalkKernel::new(&g).with_lanes(width);
-                sample_spanning_trees_on(kernel, root, seed, range.clone(), &mut |i, t, s| {
-                    got.push((i, t.root(), t.parent.clone(), s));
-                });
-                assert_eq!(got.len() as u64, range.end - range.start);
-                got.sort_unstable_by_key(|e| e.0);
-                for (slot, i) in range.enumerate() {
-                    let (tree, draws) = sequential_tree(&g, root, seed, i);
-                    let (gi, groot, gparent, gsteps) = &got[slot];
-                    assert_eq!(*gi, i, "{width:?}");
-                    assert_eq!(*groot, tree.root());
-                    assert_eq!(*gparent, tree.parent, "tree {i} at {width:?}");
-                    assert_eq!(*gsteps, draws, "draw schedule of tree {i} at {width:?}");
-                }
+                let got = lockstep_trees(&g, root, seed, range.clone(), lanes);
+                assert_sequential_bits(&g, root, seed, range, &got);
             }
         }
     }
@@ -448,29 +455,18 @@ mod tests {
     fn lockstep_refill_churn_preserves_every_tree() {
         // A tiny graph retires trees quickly, churning the refill path many
         // times per lane; every pending tree must still be emitted exactly
-        // once with its sequential bits.
+        // once with its sequential bits — through the CSR-footprint entry
+        // (the sequential fast path on a graph this small) and through 8-lane
+        // lockstep.
         let g = generators::complete(5).unwrap();
         let (seed, range) = (42u64, 0u64..257);
-        // Once through the CSR-footprint entry (sequential fast path on a
-        // graph this small) and once through the explicit-kernel entry
-        // (8-lane lockstep churn); both must emit identical trees.
-        for lockstep in [false, true] {
-            let mut seen = vec![false; range.end as usize];
-            let mut sink = |i: u64, t: &SpanningTree, s: u64| {
-                assert!(!seen[i as usize], "tree {i} emitted twice");
-                seen[i as usize] = true;
-                let (tree, draws) = sequential_tree(&g, 0, seed, i);
-                assert_eq!(t.parent, tree.parent);
-                assert_eq!(s, draws);
-            };
-            if lockstep {
-                let kernel = WalkKernel::new(&g).with_lanes(LaneWidth::L8);
-                sample_spanning_trees_on(kernel, 0, seed, range.clone(), &mut sink);
-            } else {
-                sample_spanning_trees(&g, 0, seed, range.clone(), &mut sink);
-            }
-            assert!(seen.iter().all(|&b| b));
-        }
+        let mut fast_path = Vec::new();
+        sample_spanning_trees(&g, 0, seed, range.clone(), &mut |i, t, s| {
+            fast_path.push((i, t.parent.clone(), s));
+        });
+        assert_sequential_bits(&g, 0, seed, range.clone(), &fast_path);
+        let lockstep = lockstep_trees(&g, 0, seed, range.clone(), 8);
+        assert_sequential_bits(&g, 0, seed, range, &lockstep);
     }
 
     #[test]
@@ -484,12 +480,11 @@ mod tests {
             emitted.push((i, t.edges().len(), s));
         });
         assert_eq!(emitted, (0..5).map(|i| (i, 0, 0)).collect::<Vec<_>>());
-        emitted.clear();
-        let kernel = WalkKernel::new(&singleton).with_lanes(LaneWidth::L8);
-        sample_spanning_trees_on(kernel, 0, 7, 0..5, &mut |i, t, s| {
-            emitted.push((i, t.edges().len(), s));
-        });
-        assert_eq!(emitted, (0..5).map(|i| (i, 0, 0)).collect::<Vec<_>>());
+        let lockstep = lockstep_trees(&singleton, 0, 7, 0..5, 8);
+        assert_eq!(
+            lockstep,
+            (0..5).map(|i| (i, vec![0], 0)).collect::<Vec<_>>()
+        );
 
         // Two-node path: one forced edge, but the walk still draws.
         let p2 = generators::path(2).unwrap();
@@ -500,17 +495,20 @@ mod tests {
     }
 
     #[test]
-    fn lockstep_prefetch_toggle_never_changes_a_tree() {
-        let g = generators::barabasi_albert(400, 5, 9).unwrap();
-        let collect = |prefetch: bool| {
-            let mut out = Vec::new();
-            let kernel = WalkKernel::new(&g).with_prefetch(prefetch);
-            sample_spanning_trees_on(kernel, 1, 0xbee, 0..30, &mut |i, t, s| {
-                out.push((i, t.parent.clone(), s));
-            });
-            out
-        };
-        assert_eq!(collect(true), collect(false));
+    fn out_of_cache_graphs_take_the_lockstep_route_with_sequential_bits() {
+        // A 2.6 MB CSR is past `WILSON_SEQUENTIAL_CSR_BYTES`, so the public
+        // entry runs `WILSON_WIDE_LANES` lanes, and five trees make lanes
+        // refill. Every tree must still be the sequential sampler's.
+        let g = generators::barabasi_albert(25_000, 6, 0x25).unwrap();
+        let csr_bytes = (g.num_nodes() + 1 + 2 * g.num_edges()) * std::mem::size_of::<NodeId>();
+        assert!(csr_bytes > WILSON_SEQUENTIAL_CSR_BYTES, "{csr_bytes} bytes");
+        let (root, seed, range) = (0, 0x3a7e, 3u64..8);
+        let mut got = Vec::new();
+        sample_spanning_trees(&g, root, seed, range.clone(), &mut |i, t, s| {
+            got.push((i, t.parent.clone(), s));
+        });
+        got.sort_unstable_by_key(|e| e.0);
+        assert_sequential_bits(&g, root, seed, range, &got);
     }
 
     fn is_spanning_tree(g: &Graph, tree: &SpanningTree) -> bool {

@@ -3,44 +3,13 @@
 //! A truncated walk of length ℓ from `u` is the sequence of ℓ nodes visited
 //! at steps 1..=ℓ (the start node is *not* included, matching Lemma 3.3 of
 //! the paper, where a length-ℓ_f walk "contains ℓ_f visited nodes").
+//! [`WalkKernel::for_each_visit`] walks one of them node by node, and the
+//! kernel's batched drivers run many at once; this module keeps the
+//! endpoint-only primitive TP needs.
 
 use crate::kernel::WalkKernel;
 use er_graph::{Graph, NodeId};
 use rand::Rng;
-
-/// Performs a length-`len` simple random walk from `start` and calls `visit`
-/// on each of the `len` visited nodes (steps 1..=len).
-///
-/// This is the allocation-free primitive behind AMC's inner loop: the caller
-/// accumulates `Σ_{u ∈ walk} (s(u)/d(s) − t(u)/d(t))` directly. Stepping goes
-/// through the [`crate::kernel`], which loads each CSR row once and picks the
-/// neighbour with a division-free widening multiply.
-///
-/// If the walk reaches an isolated node it stops early (cannot happen on the
-/// connected graphs the estimators require, but the primitive stays total).
-#[inline]
-pub fn walk_accumulate<R: Rng + ?Sized>(
-    graph: &Graph,
-    start: NodeId,
-    len: usize,
-    rng: &mut R,
-    visit: impl FnMut(NodeId),
-) {
-    WalkKernel::new(graph).for_each_visit(start, len, rng, visit);
-}
-
-/// Performs a length-`len` walk from `start` and returns the visited nodes
-/// (steps 1..=len) as a vector.
-pub fn walk_nodes<R: Rng + ?Sized>(
-    graph: &Graph,
-    start: NodeId,
-    len: usize,
-    rng: &mut R,
-) -> Vec<NodeId> {
-    let mut nodes = Vec::with_capacity(len);
-    walk_accumulate(graph, start, len, rng, |v| nodes.push(v));
-    nodes
-}
 
 /// Returns only the endpoint of a length-`len` walk from `start`
 /// (the node visited at step `len`; `start` itself for `len == 0`).
@@ -64,12 +33,19 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The nodes a length-`len` walk from `start` visits (steps 1..=len).
+    fn visits(graph: &Graph, start: NodeId, len: usize, rng: &mut StdRng) -> Vec<NodeId> {
+        let mut nodes = Vec::with_capacity(len);
+        WalkKernel::new(graph).for_each_visit(start, len, rng, |v| nodes.push(v));
+        nodes
+    }
+
     #[test]
     fn walk_has_requested_length_and_valid_steps() {
         let g = generators::social_network_like(200, 8.0, 1).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
         for &len in &[1usize, 5, 20] {
-            let w = walk_nodes(&g, 3, len, &mut rng);
+            let w = visits(&g, 3, len, &mut rng);
             assert_eq!(w.len(), len);
             let mut prev = 3;
             for &v in &w {
@@ -84,7 +60,7 @@ mod tests {
         // On a star, a walk from a leaf alternates leaf -> hub -> leaf -> ...
         let g = generators::star(5).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
-        let w = walk_nodes(&g, 2, 4, &mut rng);
+        let w = visits(&g, 2, 4, &mut rng);
         assert_eq!(w.len(), 4);
         assert_eq!(w[0], 0, "first visited node is the hub");
         assert_ne!(w[1], 0, "second visited node is a leaf");
@@ -96,7 +72,7 @@ mod tests {
         let g = generators::barabasi_albert(100, 3, 9).unwrap();
         let mut rng1 = StdRng::seed_from_u64(42);
         let mut rng2 = StdRng::seed_from_u64(42);
-        let nodes = walk_nodes(&g, 10, 15, &mut rng1);
+        let nodes = visits(&g, 10, 15, &mut rng1);
         let end = walk_endpoint(&g, 10, 15, &mut rng2);
         assert_eq!(*nodes.last().unwrap(), end);
     }
@@ -105,7 +81,7 @@ mod tests {
     fn zero_length_walk_visits_nothing() {
         let g = generators::complete(4).unwrap();
         let mut rng = StdRng::seed_from_u64(0);
-        assert!(walk_nodes(&g, 1, 0, &mut rng).is_empty());
+        assert!(visits(&g, 1, 0, &mut rng).is_empty());
         assert_eq!(walk_endpoint(&g, 1, 0, &mut rng), 1);
     }
 
@@ -117,7 +93,7 @@ mod tests {
             .build()
             .unwrap();
         let mut rng = StdRng::seed_from_u64(0);
-        assert!(walk_nodes(&g, 2, 5, &mut rng).is_empty());
+        assert!(visits(&g, 2, 5, &mut rng).is_empty());
         assert_eq!(walk_endpoint(&g, 2, 5, &mut rng), 2);
     }
 

@@ -12,6 +12,9 @@
 //!   spectral-gap rule off);
 //! * the `ExactCg`, `ExactDense` and `Index` overrides at `Exact`, and the
 //!   `Geer`, `Amc` and `Smm` overrides at ε;
+//! * HAY on a seeded set of graph edges, sent as one edge-set query at ε
+//!   through the GEER-routed planner (which sends ε edge sets to HAY) and
+//!   with the `Hay` override;
 //! * a [`ServerHandle`] with coalescing on;
 //! * er-http `POST /query`;
 //! * a [`DynamicResistanceService`] whose INDEX state is carried by
@@ -41,6 +44,9 @@
 //!   answer.
 //! * MC: its trial count assumes `r(s, t) ≤ γ`, and its escape walks are
 //!   not truncated.
+//! * MC2 on edge sets: its trial count `3 ln(1/δ)/(ε²γ)` at the default
+//!   γ = 1/(2m) is `6m ln(1/δ)/ε²`, about 1.2 million first-hit walks per
+//!   edge of the BA graph.
 //! * LANDMARK: it answers the midpoint of triangle-inequality bounds and
 //!   makes no ε guarantee.
 //! * AMC on the barbell: its walk count grows with the walk length, which
@@ -48,7 +54,9 @@
 //!   planner never sends ε requests on slow-mixing graphs to AMC; the
 //!   override is checked on the other three graphs.
 
-use effective_resistance::graph::{generators, Graph, GraphBuilder, NodePairQuerySet};
+use effective_resistance::graph::{
+    generators, EdgeQuerySet, Graph, GraphBuilder, NodePairQuerySet,
+};
 use effective_resistance::http::json::Json;
 use effective_resistance::index::{AllPairsResistance, IndexError};
 use effective_resistance::{
@@ -67,7 +75,7 @@ const EXACT_TOL: f64 = 1e-6;
 /// The ε of the sampled paths; δ is the library default, 0.01.
 const EPS: f64 = 0.1;
 
-/// Pairs drawn per graph.
+/// Pairs, and edges, drawn per graph.
 const PAIRS: usize = 20;
 
 /// One ground-truth fixture: a graph, its all-pairs resistances and a
@@ -79,6 +87,8 @@ struct Case {
     context: GraphContext,
     truth: AllPairsResistance,
     pairs: Vec<(usize, usize)>,
+    /// Graph edges, drawn uniformly with replacement.
+    edges: Vec<(usize, usize)>,
 }
 
 impl Case {
@@ -89,6 +99,11 @@ impl Case {
             context: GraphContext::preprocess(&graph).unwrap(),
             truth,
             pairs: uniform_pairs(&graph, PAIRS, seed),
+            edges: EdgeQuerySet::uniform(&graph, PAIRS, seed)
+                .pairs()
+                .iter()
+                .map(|p| (p.s, p.t))
+                .collect(),
         }
     }
 
@@ -321,6 +336,36 @@ fn epsilon_paths_meet_epsilon_at_rate_one_minus_delta() {
     for (tally, choice) in forced.iter().zip(&overrides) {
         tally.assert_rate(choice.name());
     }
+}
+
+#[test]
+fn hay_edge_sets_meet_epsilon_at_rate_one_minus_delta() {
+    let mut routed = EpsilonTally::default();
+    let mut forced = EpsilonTally::default();
+    for case in cases() {
+        let request = Request::new(Query::edge_set(case.edges.clone())).with_accuracy(epsilon(EPS));
+        let answers = [
+            (
+                &mut routed,
+                case.geer_routed_service().submit(&request).unwrap(),
+            ),
+            (
+                &mut forced,
+                case.service()
+                    .submit(&request.clone().with_backend(BackendChoice::Hay))
+                    .unwrap(),
+            ),
+        ];
+        for (tally, response) in answers {
+            assert_eq!(response.backend, "HAY");
+            assert_eq!(response.values.len(), case.edges.len());
+            for (&edge, &value) in case.edges.iter().zip(&response.values) {
+                tally.check(case, edge, value, EPS);
+            }
+        }
+    }
+    routed.assert_rate("GEER-routed planner on edge sets");
+    forced.assert_rate("HAY");
 }
 
 #[test]
