@@ -15,8 +15,7 @@
 //! * `--threads N` — worker threads for the parallel sampling layer
 //!   (default 0 = all cores; results are identical at any thread count).
 //! * `--quick` — flag (no value): shrink repetitions/measurement windows to
-//!   CI-smoke size while keeping the workload shape (used by the perf-smoke
-//!   job so every PR records a comparable number).
+//!   smoke-test size while keeping the workload shape.
 
 use std::time::Duration;
 
@@ -46,7 +45,7 @@ pub struct BenchArgs {
     pub seed: u64,
     /// Worker threads for the parallel sampling layer (0 = all cores).
     pub threads: usize,
-    /// CI-smoke mode: fewer repetitions, same workload shape.
+    /// Smoke-test mode: fewer repetitions, same workload shape.
     pub quick: bool,
 }
 

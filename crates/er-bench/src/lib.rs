@@ -23,17 +23,14 @@
 #![warn(missing_docs)]
 
 pub mod args;
-pub mod baseline;
 pub mod datasets;
 pub mod harness;
 pub mod methods;
 pub mod report;
 pub mod sweeps;
-pub mod trajectory;
 
 pub use args::{BenchArgs, Scale};
 pub use datasets::{DatasetSpec, PreparedDataset};
 pub use harness::{run_estimator_on_workload, run_method_on_workload, MethodRun, Workload};
 pub use methods::MethodKind;
 pub use report::{print_table, write_csv};
-pub use trajectory::{append_to_trajectory, git_sha, split_entries};

@@ -57,12 +57,6 @@ pub struct GeerBatchRun {
     /// the total work of the batch; for a single-pair batch it equals the
     /// solo estimator's cost exactly.
     pub shared_cost: CostBreakdown,
-    /// Distinct endpoints whose frontier lane was expanded.
-    pub sources_expanded: u64,
-    /// Total frontier advances (one per lane per lockstep round) — the
-    /// shared-SMM iteration count the solo path would have multiplied by the
-    /// pairs sharing each lane.
-    pub frontier_advances: u64,
 }
 
 /// One per-endpoint frontier lane: the current iterate of `P^i e_node`, the
@@ -216,8 +210,6 @@ impl GeerBatch {
             values: vec![0.0; pairs.len()],
             item_costs: vec![CostBreakdown::default(); pairs.len()],
             shared_cost: CostBreakdown::default(),
-            sources_expanded: 0,
-            frontier_advances: 0,
         };
         for chunk in plan_chunks(pairs, n) {
             self.run_chunk(&chunk, pairs, streams, fanout_threads, &mut run);
@@ -274,7 +266,6 @@ impl GeerBatch {
                 r_b: 0.0,
             });
         }
-        out.sources_expanded += lanes.len() as u64;
 
         let mut resolved: Vec<ResolvedPair> = Vec::with_capacity(active.len());
         let mut round = 0usize;
@@ -334,7 +325,7 @@ impl GeerBatch {
                 break;
             }
             round += 1;
-            out.frontier_advances += self.advance_lanes(&mut lanes, fanout_threads);
+            self.advance_lanes(&mut lanes, fanout_threads);
             out.shared_cost.matvec_ops += lanes
                 .iter()
                 .filter(|l| l.pending > 0)
@@ -373,17 +364,15 @@ impl GeerBatch {
 
     /// Advances every lane that still has pending readers, in parallel over
     /// lanes when it pays. Each lane's new iterate depends only on its own
-    /// vector, so the split is value-deterministic; returns the number of
-    /// lanes advanced.
-    fn advance_lanes(&self, lanes: &mut [Lane], fanout_threads: usize) -> u64 {
+    /// vector, so the split is value-deterministic.
+    fn advance_lanes(&self, lanes: &mut [Lane], fanout_threads: usize) {
         let g = self.context.graph();
         let workers = par::resolve_threads(fanout_threads).max(1);
-        let live = lanes.iter().filter(|l| l.pending > 0).count() as u64;
         if workers <= 1 || lanes.len() < 2 {
             for lane in lanes.iter_mut().filter(|l| l.pending > 0) {
                 lane.advance(g);
             }
-            return live;
+            return;
         }
         let chunk_size = lanes.len().div_ceil(workers);
         std::thread::scope(|scope| {
@@ -395,7 +384,6 @@ impl GeerBatch {
                 });
             }
         });
-        live
     }
 }
 
@@ -540,7 +528,6 @@ mod tests {
         let mut total = run.shared_cost;
         total += run.item_costs[0];
         assert_eq!(total, est.cost, "shared + item must equal the solo cost");
-        assert_eq!(run.sources_expanded, 2);
     }
 
     #[test]
@@ -561,8 +548,6 @@ mod tests {
              (shared {} vs solo {solo_matvec})",
             run.shared_cost.matvec_ops
         );
-        // 21 distinct endpoints = 21 lanes.
-        assert_eq!(run.sources_expanded, 21);
     }
 
     #[test]

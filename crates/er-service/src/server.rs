@@ -62,7 +62,7 @@ use std::time::Instant;
 ///     queue_depth: 128,
 ///     ..ServerConfig::default()
 /// };
-/// assert!(config.coalescing);
+/// assert!(!config.start_paused);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServerConfig {
@@ -72,11 +72,6 @@ pub struct ServerConfig {
     /// Bound on jobs waiting in the queue; submits beyond it are rejected
     /// with [`ServiceError::Overloaded`].
     pub queue_depth: usize,
-    /// Whether workers coalesce compatible queued pair queries into one
-    /// batch plan (identical values either way; coalescing only saves work).
-    pub coalescing: bool,
-    /// Maximum number of requests merged into one coalesced execution.
-    pub max_coalesce: usize,
     /// Start with the workers paused (jobs are admitted and queued but not
     /// executed until [`ServerHandle::resume`]); used to stage queue-level
     /// tests and warm-up sequences deterministically.
@@ -88,12 +83,13 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: 0,
             queue_depth: 1024,
-            coalescing: true,
-            max_coalesce: 32,
             start_paused: false,
         }
     }
 }
+
+/// Maximum number of requests merged into one coalesced execution.
+const MAX_COALESCE: usize = 32;
 
 /// Counters describing what the server has done so far (monotone; read with
 /// [`ServerHandle::stats`]).
@@ -154,7 +150,7 @@ struct Job {
     deadline: Option<Instant>,
     waiters: Vec<Arc<ResponseSlot>>,
     /// The coalescing class this job was filed under at admission
-    /// (pair-shaped jobs with coalescing enabled only).
+    /// (pair-shaped jobs only).
     coalesce_key: Option<CoalesceKey>,
     /// This job's attach-to-running entry, installed when a worker takes the
     /// job (deadline-free jobs only, under the take lock) and published to
@@ -403,7 +399,6 @@ impl ResistanceServer {
         let config = ServerConfig {
             workers: resolve_threads(config.workers),
             queue_depth: config.queue_depth.max(1),
-            max_coalesce: config.max_coalesce.max(1),
             ..config
         };
         let shared = Arc::new(ServerShared {
@@ -489,14 +484,7 @@ impl ServerHandle {
         let fp = fingerprint(&request);
         // Planning is lock-free, so the coalescing class is computed before
         // the scheduler lock; workers then find peers by list lookup alone.
-        // max_coalesce <= 1 means no batch can ever grow beyond its primary,
-        // so filing jobs in ready-lists would only accumulate ids that no
-        // drain ever pops — treat it as coalescing off.
-        let coalesce_key = if self.shared.config.coalescing && self.shared.config.max_coalesce > 1 {
-            CoalesceKey::of(&self.shared.service, &request)
-        } else {
-            None
-        };
+        let coalesce_key = CoalesceKey::of(&self.shared.service, &request);
         let mut st = self.shared.state.lock().expect("scheduler state poisoned");
         if st.shutdown {
             return Err(ServiceError::ServerShutdown);
@@ -707,8 +695,8 @@ fn publish_running(shared: &ServerShared, job: &Job, result: &Result<Response, S
 
 fn worker_loop(shared: &ServerShared) {
     loop {
-        // Take the most urgent live job — plus, when coalescing is on, every
-        // compatible queued pair job — under the scheduler lock.
+        // Take the most urgent live job — plus, for a pair job, its
+        // compatible queued peers — under the scheduler lock.
         let mut batch: Vec<Job> = Vec::new();
         {
             let mut st = shared.state.lock().expect("scheduler state poisoned");
@@ -736,11 +724,7 @@ fn worker_loop(shared: &ServerShared) {
                     .wait(st)
                     .expect("scheduler state poisoned");
             };
-            let coalesce_key = if shared.config.coalescing {
-                primary.coalesce_key
-            } else {
-                None
-            };
+            let coalesce_key = primary.coalesce_key;
             batch.push(primary);
             if let Some(key) = coalesce_key {
                 // O(1) peer selection: pop queued job ids off the key's
@@ -749,7 +733,7 @@ fn worker_loop(shared: &ServerShared) {
                 // the primary's own entry is one of them.
                 let state = &mut *st;
                 let emptied = if let Some(list) = state.ready.get_mut(&key) {
-                    while batch.len() < shared.config.max_coalesce {
+                    while batch.len() < MAX_COALESCE {
                         let Some(id) = list.pop_front() else { break };
                         if let Some(job) = state.jobs.remove(&id) {
                             state.in_flight.remove(&job.fingerprint);
@@ -1046,7 +1030,6 @@ mod tests {
             ServerConfig {
                 workers: 1,
                 start_paused: true,
-                coalescing: false,
                 ..ServerConfig::default()
             },
         );

@@ -15,7 +15,10 @@
 //! * HAY on a seeded set of graph edges, sent as one edge-set query at ε
 //!   through the GEER-routed planner (which sends ε edge sets to HAY) and
 //!   with the `Hay` override;
-//! * a [`ServerHandle`] with coalescing on;
+//! * INDEX on one ε batch of distinct pairs from one source, which both the
+//!   default planner and the GEER-routed planner with a warm index send to
+//!   the index as a repeated-source batch;
+//! * a [`ServerHandle`] answering queued pairs in coalesced batches;
 //! * er-http `POST /query`;
 //! * a [`DynamicResistanceService`] whose INDEX state is carried by
 //!   Sherman–Morrison updates through an insert/delete stream and dropped
@@ -24,7 +27,8 @@
 //!
 //! What is asserted:
 //!
-//! * `Exact` answers are within [`EXACT_TOL`] of the truth.
+//! * `Exact` answers, and INDEX-served ε answers, are within [`EXACT_TOL`]
+//!   of the truth.
 //! * ε answers are within ε at an observed rate of at least 1 − δ, up to a
 //!   binomial slack. Each answer may miss with probability δ, so a path
 //!   with `n` answers may show [`allowed_misses`]`(n, δ)` misses: the
@@ -366,6 +370,39 @@ fn hay_edge_sets_meet_epsilon_at_rate_one_minus_delta() {
     }
     routed.assert_rate("GEER-routed planner on edge sets");
     forced.assert_rate("HAY");
+}
+
+#[test]
+fn index_served_epsilon_batches_match_ground_truth() {
+    let size = PlannerConfig::default().repeated_source_threshold;
+    for case in cases() {
+        let s = case.pairs[0].0;
+        let batch: Vec<(usize, usize)> = (0..case.context.graph().num_nodes())
+            .filter(|&t| t != s)
+            .take(size)
+            .map(|t| (s, t))
+            .collect();
+        let request = Request::new(Query::batch(batch.clone())).with_accuracy(epsilon(EPS));
+        // A fresh service has cached none of these pairs, so the warm index
+        // answers every one; cached GEER values would be served as "INDEX".
+        let routed = case.geer_routed_service();
+        routed.warm_index().unwrap();
+        for (path, service) in [
+            ("default planner", case.service()),
+            ("warm GEER-routed planner", routed),
+        ] {
+            let response = service.submit(&request).unwrap();
+            assert_eq!(response.backend, "INDEX", "{path} on {}", case.name);
+            assert_eq!(
+                response.backend_calls, size as u64,
+                "{path} on {}",
+                case.name
+            );
+            for (&pair, &value) in batch.iter().zip(&response.values) {
+                assert_exact(case, path, pair, value);
+            }
+        }
+    }
 }
 
 #[test]

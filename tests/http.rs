@@ -381,7 +381,6 @@ fn overload_maps_to_503_and_lapsed_deadline_to_504() {
             workers: 1,
             queue_depth: 2,
             start_paused: true,
-            ..ServerConfig::default()
         },
         HttpConfig::default(),
     );

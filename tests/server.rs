@@ -149,7 +149,6 @@ fn bounded_queue_rejects_with_overloaded_and_recovers() {
             workers: 1,
             queue_depth: 2,
             start_paused: true,
-            ..ServerConfig::default()
         },
     );
     let first = handle.submit(Request::new(Query::pair(0, 100))).unwrap();
