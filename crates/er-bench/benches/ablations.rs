@@ -183,7 +183,7 @@ fn bench_point_query_backends(c: &mut Criterion) {
     // The index pays one CG solve per *new source*; cycling over the fixed
     // pair set measures the amortised per-query cost of the cached columns.
     group.bench_function("er_index_query", |b| {
-        let mut index = ErIndex::build(&graph)
+        let index = ErIndex::build(&graph)
             .unwrap()
             .with_column_capacity(pairs.len());
         let mut i = 0;

@@ -1,125 +1,53 @@
-//! Estimation of the diagonal of the Laplacian pseudo-inverse.
+//! The diagonal of the Laplacian pseudo-inverse.
 //!
 //! Every column-based identity for effective resistance,
 //! `r(s, t) = L†(s, s) + L†(t, t) − 2 L†(s, t)`, needs the diagonal of `L†`.
 //! A single column is one Laplacian solve, but the diagonal touches every
-//! column, so the indexing layer offers three strategies with very different
-//! cost/accuracy trade-offs:
-//!
-//! * [`DiagonalStrategy::ExactSolves`] — `n` conjugate-gradient solves,
-//!   exact up to solver tolerance, `O(n · m)` per build (fine up to a few
-//!   thousand nodes).
-//! * [`DiagonalStrategy::DensePseudoInverse`] — a full Jacobi
-//!   eigendecomposition, `O(n³)`; only sensible for very small graphs but a
-//!   useful independent cross-check in tests.
-//! * [`DiagonalStrategy::Hutchinson`] — the stochastic diagonal estimator
-//!   `diag(L†) ≈ (1/k) Σ_j z_j ∘ (L† z_j)` with Rademacher probes `z_j`;
-//!   `k` solves, unbiased, with per-entry standard deviation on the order of
-//!   the off-diagonal mass of the corresponding row — an approximation, and
-//!   documented as such.
+//! column: [`pseudo_inverse_diagonal`] pays one conjugate-gradient solve per
+//! node, exact up to solver tolerance, `O(n · m)` per build (fine up to a few
+//! thousand nodes).
 
 use er_graph::Graph;
-use er_linalg::{DenseMatrix, LaplacianSolver};
+use er_linalg::LaplacianSolver;
 use er_walks::par;
-use rand::Rng;
 
-/// How to obtain `diag(L†)`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DiagonalStrategy {
-    /// One CG solve per node (exact up to solver tolerance).
-    ExactSolves,
-    /// Full dense pseudo-inverse (exact, `O(n³)`, small graphs only).
-    DensePseudoInverse,
-    /// Hutchinson stochastic estimator with the given number of probes.
-    Hutchinson {
-        /// Number of Rademacher probe vectors (each probe is one CG solve).
-        probes: usize,
-    },
-}
-
-/// Computes (or estimates) the diagonal of the Laplacian pseudo-inverse.
+/// Computes the diagonal of the Laplacian pseudo-inverse, one CG solve per
+/// node.
 ///
 /// The returned vector has length `n`; entry `v` is `L†(v, v)`, which equals
 /// the average of `r(v, u)` over the "electrical" distribution and is always
-/// non-negative for the exact strategies.
-pub fn pseudo_inverse_diagonal(graph: &Graph, strategy: DiagonalStrategy, seed: u64) -> Vec<f64> {
-    pseudo_inverse_diagonal_with_threads(graph, strategy, seed, par::AUTO)
-}
-
-/// [`pseudo_inverse_diagonal`] with an explicit worker-thread count
-/// (0 = all cores). The per-node solves of [`DiagonalStrategy::ExactSolves`]
-/// and the probes of [`DiagonalStrategy::Hutchinson`] fan out over the
-/// deterministic parallel layer; results are identical at any thread count.
-pub fn pseudo_inverse_diagonal_with_threads(
-    graph: &Graph,
-    strategy: DiagonalStrategy,
-    seed: u64,
-    threads: usize,
-) -> Vec<f64> {
+/// non-negative. The solves fan out over `threads` workers (0 = all cores)
+/// of the deterministic parallel layer; the result is identical at any
+/// thread count.
+pub fn pseudo_inverse_diagonal(graph: &Graph, threads: usize) -> Vec<f64> {
     let n = graph.num_nodes();
-    match strategy {
-        DiagonalStrategy::ExactSolves => {
-            let solver = LaplacianSolver::for_ground_truth(graph);
-            par::par_map_indexed(n as u64, seed, threads, |v, _| {
-                let mut rhs = vec![0.0; n];
-                rhs[v as usize] = 1.0;
-                let (x, _) = solver.solve(&rhs);
-                x[v as usize]
-            })
-        }
-        DiagonalStrategy::DensePseudoInverse => {
-            let pinv = DenseMatrix::laplacian(graph).pseudo_inverse(1e-9);
-            (0..n).map(|v| pinv.get(v, v)).collect()
-        }
-        DiagonalStrategy::Hutchinson { probes } => {
-            let probes = probes.max(1);
-            let solver = LaplacianSolver::for_ground_truth(graph);
-            let mut diag = par::par_fold_indexed(
-                probes as u64,
-                seed,
-                threads,
-                || vec![0.0f64; n],
-                |_, probe_rng, acc: &mut Vec<f64>| {
-                    let z: Vec<f64> = (0..n)
-                        .map(|_| if probe_rng.gen::<bool>() { 1.0 } else { -1.0 })
-                        .collect();
-                    let (x, _) = solver.solve(&z);
-                    for v in 0..n {
-                        acc[v] += z[v] * x[v];
-                    }
-                },
-                |total, part| {
-                    for (t, p) in total.iter_mut().zip(part) {
-                        *t += p;
-                    }
-                },
-            );
-            for d in &mut diag {
-                *d /= probes as f64;
-            }
-            diag
-        }
-    }
+    let solver = LaplacianSolver::for_ground_truth(graph);
+    par::par_map_indexed(n as u64, 0, threads, |v, _| {
+        let mut rhs = vec![0.0; n];
+        rhs[v as usize] = 1.0;
+        let (x, _) = solver.solve(&rhs);
+        x[v as usize]
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use er_graph::generators;
+    use er_linalg::DenseMatrix;
 
     #[test]
     fn exact_strategies_agree_on_small_graphs() {
         let g = generators::social_network_like(60, 6.0, 3).unwrap();
-        let by_solves = pseudo_inverse_diagonal(&g, DiagonalStrategy::ExactSolves, 0);
-        let by_dense = pseudo_inverse_diagonal(&g, DiagonalStrategy::DensePseudoInverse, 0);
-        for v in 0..g.num_nodes() {
+        let by_solves = pseudo_inverse_diagonal(&g, par::AUTO);
+        let dense = DenseMatrix::laplacian(&g).pseudo_inverse(1e-9);
+        for (v, &d) in by_solves.iter().enumerate() {
             assert!(
-                (by_solves[v] - by_dense[v]).abs() < 1e-6,
-                "node {v}: {} vs {}",
-                by_solves[v],
-                by_dense[v]
+                (d - dense.get(v, v)).abs() < 1e-6,
+                "node {v}: {d} vs {}",
+                dense.get(v, v)
             );
-            assert!(by_solves[v] > 0.0);
+            assert!(d > 0.0);
         }
     }
 
@@ -128,33 +56,10 @@ mod tests {
         // For K_n, L† = (I - J/n) / n, so every diagonal entry is (n-1)/n².
         let n = 8;
         let g = generators::complete(n).unwrap();
-        let diag = pseudo_inverse_diagonal(&g, DiagonalStrategy::ExactSolves, 0);
+        let diag = pseudo_inverse_diagonal(&g, par::AUTO);
         let expected = (n as f64 - 1.0) / (n as f64 * n as f64);
         for &d in &diag {
             assert!((d - expected).abs() < 1e-9, "{d} vs {expected}");
         }
-    }
-
-    #[test]
-    fn hutchinson_estimate_tracks_the_exact_diagonal() {
-        let g = generators::complete(12).unwrap();
-        let exact = pseudo_inverse_diagonal(&g, DiagonalStrategy::ExactSolves, 0);
-        let approx = pseudo_inverse_diagonal(&g, DiagonalStrategy::Hutchinson { probes: 600 }, 7);
-        let mean_abs_err: f64 = exact
-            .iter()
-            .zip(&approx)
-            .map(|(e, a)| (e - a).abs())
-            .sum::<f64>()
-            / exact.len() as f64;
-        // K_12 has tiny off-diagonal mass, so a few hundred probes suffice.
-        assert!(mean_abs_err < 0.02, "mean abs error {mean_abs_err}");
-    }
-
-    #[test]
-    fn hutchinson_with_zero_probes_is_clamped_to_one() {
-        let g = generators::complete(5).unwrap();
-        let d = pseudo_inverse_diagonal(&g, DiagonalStrategy::Hutchinson { probes: 0 }, 1);
-        assert_eq!(d.len(), 5);
-        assert!(d.iter().all(|x| x.is_finite()));
     }
 }

@@ -16,7 +16,6 @@
 //! a standalone approximation when the workload tolerates bounded relative
 //! error.
 
-use crate::diagonal::DiagonalStrategy;
 use crate::error::IndexError;
 use crate::single_source::ErIndex;
 use er_graph::{Graph, NodeId};
@@ -79,25 +78,6 @@ impl LandmarkIndex {
         selection: LandmarkSelection,
         seed: u64,
     ) -> Result<Self, IndexError> {
-        Self::build_with(
-            graph,
-            num_landmarks,
-            selection,
-            DiagonalStrategy::ExactSolves,
-            seed,
-        )
-    }
-
-    /// Builds an index with an explicit diagonal strategy (a Hutchinson
-    /// diagonal makes the stored resistances — and hence the bounds —
-    /// approximate; use only when a fuzzy filter is acceptable).
-    pub fn build_with(
-        graph: &Graph,
-        num_landmarks: usize,
-        selection: LandmarkSelection,
-        diagonal: DiagonalStrategy,
-        seed: u64,
-    ) -> Result<Self, IndexError> {
         if num_landmarks == 0 {
             return Err(IndexError::InvalidConfiguration {
                 name: "num_landmarks",
@@ -107,8 +87,7 @@ impl LandmarkIndex {
         let n = graph.num_nodes();
         let num_landmarks = num_landmarks.min(n);
         let landmarks = select_landmarks(graph, num_landmarks, selection, seed);
-        let mut index =
-            ErIndex::build_with(graph, diagonal, seed)?.with_column_capacity(num_landmarks.max(1));
+        let index = ErIndex::build(graph)?.with_column_capacity(num_landmarks.max(1));
         let mut sqrt_resistances = Vec::with_capacity(landmarks.len());
         for &l in &landmarks {
             let profile = index.single_source(l)?;

@@ -8,8 +8,9 @@
 //!
 //! * [`ErIndex`] — single-source / exact pairwise resistance from Laplacian
 //!   pseudo-inverse columns plus a pre-computed diagonal
-//!   ([`DiagonalStrategy`]), including Kirchhoff index and nearest-neighbour
-//!   search.
+//!   ([`pseudo_inverse_diagonal`]), including Kirchhoff index and
+//!   nearest-neighbour search. Its queries take `&self`, so threads share
+//!   one index; the service's INDEX backend is the index itself.
 //! * [`AllPairsResistance`] — the full resistance matrix for small graphs,
 //!   with Foster's-theorem and resistance-diameter summaries.
 //! * [`LandmarkIndex`] — O(k)-per-query lower/upper bounds from `k` landmark
@@ -28,9 +29,7 @@ pub mod single_source;
 
 pub use allpairs::AllPairsResistance;
 pub use cache::QueryCache;
-pub use diagonal::{pseudo_inverse_diagonal, DiagonalStrategy};
+pub use diagonal::pseudo_inverse_diagonal;
 pub use error::IndexError;
 pub use landmark::{LandmarkBounds, LandmarkIndex, LandmarkSelection};
-pub use single_source::{
-    nearest_from_row, resistance_from_column, row_from_column, solve_column, ErIndex,
-};
+pub use single_source::ErIndex;

@@ -12,123 +12,116 @@
 //!
 //! answers *all* targets of a source with a single Laplacian solve (the column
 //! `L† e_s`), provided `diag(L†)` is available. [`ErIndex`] therefore
-//! pre-computes the diagonal once (strategy chosen by the caller, see
-//! [`DiagonalStrategy`]) and caches recently used columns.
+//! pre-computes the diagonal once (one CG solve per node, see
+//! [`pseudo_inverse_diagonal`]) and caches recently used columns in a
+//! concurrent working set, so one index serves any number of threads.
 
-use crate::diagonal::{pseudo_inverse_diagonal_with_threads, DiagonalStrategy};
+use crate::diagonal::pseudo_inverse_diagonal;
 use crate::error::IndexError;
 use er_graph::{analysis, Graph, IntoGraphArc, NodeId};
 use er_linalg::LaplacianSolver;
 use er_walks::par;
 use std::collections::HashMap;
-use std::sync::Arc;
-
-/// Solves the pseudo-inverse column `L† e_s` — the one Laplacian solve both
-/// [`ErIndex`] and any external column tier (the service's concurrent
-/// `IndexBackend`) must perform identically, so a tolerance or centring
-/// change lands in every tier at once.
-pub fn solve_column(graph: &Graph, s: NodeId) -> Vec<f64> {
-    let solver = LaplacianSolver::for_ground_truth(graph);
-    let mut rhs = vec![0.0; graph.num_nodes()];
-    rhs[s] = 1.0;
-    let (x, _) = solver.solve(&rhs);
-    x
-}
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// `r(s, t)` from the pseudo-inverse diagonal and the column `L† e_s`, with
 /// the `.max(0.0)` clamp absorbing solver-tolerance negatives near zero.
-/// The single source of truth for the column identity — [`ErIndex`] and any
-/// external column tier (the service's concurrent `IndexBackend`) must
-/// agree bit for bit, so both call this.
-pub fn resistance_from_column(diagonal: &[f64], column: &[f64], s: NodeId, t: NodeId) -> f64 {
+fn resistance_from_column(diagonal: &[f64], column: &[f64], s: NodeId, t: NodeId) -> f64 {
     if s == t {
         return 0.0;
     }
     (diagonal[s] + diagonal[t] - 2.0 * column[t]).max(0.0)
 }
 
-/// The full row `r(s, ·)` from the diagonal and the column `L† e_s`
-/// (`r(s, s) = 0`); shared like [`resistance_from_column`].
-pub fn row_from_column(diagonal: &[f64], column: &[f64], s: NodeId) -> Vec<f64> {
-    (0..diagonal.len())
-        .map(|t| resistance_from_column(diagonal, column, s, t))
-        .collect()
-}
-
-/// The `k` nodes nearest to `s` given its full resistance row, sorted
-/// ascending with `s` itself excluded; shared tie-breaking for every
-/// nearest-neighbour surface.
-pub fn nearest_from_row(row: Vec<f64>, s: NodeId, k: usize) -> Vec<(NodeId, f64)> {
-    let mut scored: Vec<(NodeId, f64)> = row
-        .into_iter()
-        .enumerate()
-        .filter(|&(v, _)| v != s)
-        .collect();
-    scored.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-    scored.truncate(k);
-    scored
-}
+/// One column slot: shared so readers can clone it out of the map and block
+/// on the `OnceLock` (not the map lock) while the first requester solves.
+type ColumnCell = Arc<OnceLock<Arc<Vec<f64>>>>;
 
 /// Exact (up to solver tolerance) effective-resistance index built from
 /// Laplacian pseudo-inverse columns and a pre-computed diagonal.
 ///
-/// The index owns the graph behind an `Arc`, so it is `Send`, storable in
-/// services, and free of borrow lifetimes.
+/// The index owns the graph behind an `Arc` and every query takes `&self`:
+/// it is `Send + Sync`, so threads (or server workers) share one index
+/// directly. The diagonal is immutable; the column tier is a read-mostly
+/// `RwLock` map of per-column once-cells. Readers of a resident column take
+/// only the read lock; a missing column inserts its cell under a brief write
+/// lock and is then solved **outside** any map lock, inside the cell's
+/// `OnceLock`. Concurrent requests for different columns therefore solve in
+/// parallel, and concurrent requests for the same column solve it exactly
+/// once. Values are deterministic CG solves, so concurrency changes
+/// throughput only.
 pub struct ErIndex {
     graph: Arc<Graph>,
     diagonal: Vec<f64>,
-    strategy: DiagonalStrategy,
-    columns: HashMap<NodeId, Vec<f64>>,
+    columns: RwLock<HashMap<NodeId, ColumnCell>>,
     column_capacity: usize,
-    solves: u64,
+    build_solves: u64,
+    column_solves: AtomicU64,
 }
 
 impl ErIndex {
     /// Default number of pseudo-inverse columns kept in the cache.
     pub const DEFAULT_COLUMN_CAPACITY: usize = 64;
 
-    /// Builds the index with the exact per-node-solve diagonal. `O(n)` CG
-    /// solves, fanned out over all cores; intended for graphs up to a few
-    /// thousand nodes.
+    /// Builds the index: `O(n)` CG solves for the diagonal, fanned out over
+    /// all cores; intended for graphs up to a few thousand nodes.
     pub fn build(graph: impl IntoGraphArc) -> Result<Self, IndexError> {
-        Self::build_with(graph, DiagonalStrategy::ExactSolves, 0)
+        Self::build_with_threads(graph, par::AUTO)
     }
 
-    /// Builds the index with an explicit diagonal strategy and RNG seed (the
-    /// seed only matters for [`DiagonalStrategy::Hutchinson`]), using all
-    /// cores for the diagonal fan-out.
-    pub fn build_with(
-        graph: impl IntoGraphArc,
-        strategy: DiagonalStrategy,
-        seed: u64,
-    ) -> Result<Self, IndexError> {
-        Self::build_with_threads(graph, strategy, seed, par::AUTO)
-    }
-
-    /// [`Self::build_with`] with an explicit worker-thread count (0 = all
+    /// [`Self::build`] with an explicit worker-thread count (0 = all
     /// cores); the diagonal is identical at any thread count.
     pub fn build_with_threads(
         graph: impl IntoGraphArc,
-        strategy: DiagonalStrategy,
-        seed: u64,
         threads: usize,
     ) -> Result<Self, IndexError> {
         let graph = graph.into_graph_arc();
         analysis::validate_ergodic(&graph)?;
-        let diagonal = pseudo_inverse_diagonal_with_threads(&graph, strategy, seed, threads);
-        let solves = match strategy {
-            DiagonalStrategy::ExactSolves => graph.num_nodes() as u64,
-            DiagonalStrategy::DensePseudoInverse => 0,
-            DiagonalStrategy::Hutchinson { probes } => probes.max(1) as u64,
-        };
-        Ok(ErIndex {
+        let diagonal = pseudo_inverse_diagonal(&graph, threads);
+        let solves = graph.num_nodes() as u64;
+        Ok(Self::from_parts(
             graph,
             diagonal,
-            strategy,
-            columns: HashMap::new(),
-            column_capacity: Self::DEFAULT_COLUMN_CAPACITY,
+            Self::DEFAULT_COLUMN_CAPACITY,
+            Vec::new(),
             solves,
-        })
+        ))
+    }
+
+    /// Reassembles an index from previously extracted parts. `diagonal`
+    /// must be `diag(L†)` of `graph` and every entry of `columns` a solved
+    /// `L† e_s` on `graph` — or, in incremental dynamic serving, the
+    /// Sherman–Morrison-advanced versions of both after a mutation burst.
+    /// No solves are performed; `build_solves` seeds the solve counter so
+    /// cost accounting carries across epochs.
+    ///
+    /// # Panics
+    /// Panics if `diagonal` or a column does not cover every node.
+    pub fn from_parts(
+        graph: Arc<Graph>,
+        diagonal: Vec<f64>,
+        column_capacity: usize,
+        columns: Vec<(NodeId, Vec<f64>)>,
+        build_solves: u64,
+    ) -> Self {
+        let n = graph.num_nodes();
+        assert_eq!(diagonal.len(), n, "diagonal must cover every node");
+        let cells = columns
+            .into_iter()
+            .map(|(s, column)| {
+                assert_eq!(column.len(), n, "column {s} must cover every node");
+                (s, Arc::new(OnceLock::from(Arc::new(column))))
+            })
+            .collect();
+        ErIndex {
+            graph,
+            diagonal,
+            columns: RwLock::new(cells),
+            column_capacity: column_capacity.max(1),
+            build_solves,
+            column_solves: AtomicU64::new(0),
+        }
     }
 
     /// Sets how many pseudo-inverse columns are cached (at least 1).
@@ -148,11 +141,6 @@ impl ErIndex {
         &self.graph
     }
 
-    /// The diagonal strategy the index was built with.
-    pub fn strategy(&self) -> DiagonalStrategy {
-        self.strategy
-    }
-
     /// `L†(v, v)` for node `v`.
     pub fn diagonal_entry(&self, v: NodeId) -> Result<f64, IndexError> {
         self.graph.check_node(v)?;
@@ -160,20 +148,20 @@ impl ErIndex {
     }
 
     /// The full pre-computed pseudo-inverse diagonal `diag(L†)`, indexed by
-    /// node id — for callers that build their own column tier on top of the
-    /// index (e.g. the service's concurrent `IndexBackend`).
+    /// node id.
     pub fn diagonal(&self) -> &[f64] {
         &self.diagonal
     }
 
-    /// Total number of Laplacian solves performed so far (build + queries).
+    /// Total number of Laplacian solves performed so far (build + columns).
     pub fn total_solves(&self) -> u64 {
-        self.solves
+        self.build_solves + self.column_solves.load(Ordering::Relaxed)
     }
 
-    /// Number of columns currently cached.
-    pub fn cached_columns(&self) -> usize {
-        self.columns.len()
+    /// The solve count the index was built (or reassembled) with, excluding
+    /// on-demand column solves since.
+    pub fn build_solves(&self) -> u64 {
+        self.build_solves
     }
 
     /// The configured column-cache capacity.
@@ -181,42 +169,72 @@ impl ErIndex {
         self.column_capacity
     }
 
-    /// Takes the cached columns out of the index — for handing the warm
-    /// working set over to an external column tier without re-solving.
-    pub fn take_cached_columns(&mut self) -> HashMap<NodeId, Vec<f64>> {
-        std::mem::take(&mut self.columns)
+    /// The currently resident columns `(s, L† e_s)`, sorted by source; the
+    /// extraction side of [`from_parts`](Self::from_parts). Columns still
+    /// being solved are skipped.
+    pub fn resident_columns(&self) -> Vec<(NodeId, Vec<f64>)> {
+        let mut out: Vec<(NodeId, Vec<f64>)> = self
+            .columns
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .iter()
+            .filter_map(|(&s, cell)| cell.get().map(|col| (s, col.as_ref().clone())))
+            .collect();
+        out.sort_unstable_by_key(|&(s, _)| s);
+        out
     }
 
-    /// Makes the column `L† e_s` resident in the cache, then hands it back
-    /// as a shared borrow so callers can read `self.diagonal` alongside it.
-    fn column(&mut self, s: NodeId) -> &[f64] {
-        if !self.columns.contains_key(&s) {
-            if self.columns.len() >= self.column_capacity {
-                // Evict an arbitrary column; the cache is a working set, not
-                // an LRU — sources in this access pattern repeat immediately
-                // or not at all.
-                if let Some(&evict) = self.columns.keys().next() {
-                    self.columns.remove(&evict);
+    /// The column `L† e_s`, solved at most once per residency.
+    fn column(&self, s: NodeId) -> Arc<Vec<f64>> {
+        let existing = self
+            .columns
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(&s)
+            .cloned();
+        let cell = match existing {
+            Some(cell) => cell,
+            None => {
+                let mut map = self.columns.write().unwrap_or_else(|e| e.into_inner());
+                if !map.contains_key(&s) && map.len() >= self.column_capacity {
+                    // Evict an arbitrary *solved* column; the cache is a
+                    // working set, not an LRU — sources in this access
+                    // pattern repeat immediately or not at all. Readers
+                    // holding the evicted column keep their `Arc`, and cells
+                    // still solving are never evicted from under their
+                    // waiters.
+                    if let Some(&evict) = map
+                        .iter()
+                        .find(|(_, cell)| cell.get().is_some())
+                        .map(|(k, _)| k)
+                    {
+                        map.remove(&evict);
+                    }
                 }
+                map.entry(s).or_default().clone()
             }
-            let x = solve_column(&self.graph, s);
-            self.solves += 1;
-            self.columns.insert(s, x);
-        }
-        &self.columns[&s]
+        };
+        cell.get_or_init(|| {
+            let solver = LaplacianSolver::for_ground_truth(&self.graph);
+            let mut rhs = vec![0.0; self.graph.num_nodes()];
+            rhs[s] = 1.0;
+            let (x, _) = solver.solve(&rhs);
+            self.column_solves.fetch_add(1, Ordering::Relaxed);
+            Arc::new(x)
+        })
+        .clone()
     }
 
     /// The effective resistance `r(s, t)`, exact up to solver tolerance.
-    pub fn resistance(&mut self, s: NodeId, t: NodeId) -> Result<f64, IndexError> {
+    pub fn resistance(&self, s: NodeId, t: NodeId) -> Result<f64, IndexError> {
         self.graph.check_node(s)?;
         self.graph.check_node(t)?;
         if s == t {
             return Ok(0.0);
         }
-        self.column(s);
         Ok(resistance_from_column(
             &self.diagonal,
-            &self.columns[&s],
+            &self.column(s),
             s,
             t,
         ))
@@ -224,16 +242,26 @@ impl ErIndex {
 
     /// The resistance from `s` to every node of the graph (`r(s, s) = 0`),
     /// using exactly one Laplacian solve beyond the cached state.
-    pub fn single_source(&mut self, s: NodeId) -> Result<Vec<f64>, IndexError> {
+    pub fn single_source(&self, s: NodeId) -> Result<Vec<f64>, IndexError> {
         self.graph.check_node(s)?;
-        self.column(s);
-        Ok(row_from_column(&self.diagonal, &self.columns[&s], s))
+        let column = self.column(s);
+        Ok((0..self.diagonal.len())
+            .map(|t| resistance_from_column(&self.diagonal, &column, s, t))
+            .collect())
     }
 
     /// The `k` nodes closest to `s` in effective resistance (excluding `s`
     /// itself), sorted ascending — the "similarity search" access pattern.
-    pub fn nearest(&mut self, s: NodeId, k: usize) -> Result<Vec<(NodeId, f64)>, IndexError> {
-        Ok(nearest_from_row(self.single_source(s)?, s, k))
+    pub fn nearest(&self, s: NodeId, k: usize) -> Result<Vec<(NodeId, f64)>, IndexError> {
+        let mut scored: Vec<(NodeId, f64)> = self
+            .single_source(s)?
+            .into_iter()
+            .enumerate()
+            .filter(|&(v, _)| v != s)
+            .collect();
+        scored.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+        scored.truncate(k);
+        Ok(scored)
     }
 
     /// The Kirchhoff index `Σ_{s<t} r(s, t) = n · trace(L†)` of the graph, a
@@ -249,11 +277,12 @@ mod tests {
     use super::*;
     use er_graph::generators;
     use er_linalg::LaplacianSolver;
+    use std::sync::Barrier;
 
     #[test]
     fn resistance_matches_direct_solver() {
         let g = generators::social_network_like(120, 8.0, 9).unwrap();
-        let mut index = ErIndex::build(&g).unwrap();
+        let index = ErIndex::build(&g).unwrap();
         let solver = LaplacianSolver::for_ground_truth(&g);
         for &(s, t) in &[(0usize, 60usize), (5, 119), (30, 31), (2, 2)] {
             let via_index = index.resistance(s, t).unwrap();
@@ -268,7 +297,7 @@ mod tests {
     #[test]
     fn single_source_profile_is_consistent_with_pairwise_queries() {
         let g = generators::barabasi_albert(150, 3, 4).unwrap();
-        let mut index = ErIndex::build(&g).unwrap();
+        let index = ErIndex::build(&g).unwrap();
         let profile = index.single_source(17).unwrap();
         assert_eq!(profile.len(), 150);
         assert_eq!(profile[17], 0.0);
@@ -285,7 +314,7 @@ mod tests {
         // make it non-bipartite without touching the far end of the path.
         let path = generators::path(12).unwrap();
         let g = er_graph::transform::add_edges(&path, &[(0, 2)]).unwrap();
-        let mut index = ErIndex::build(&g).unwrap();
+        let index = ErIndex::build(&g).unwrap();
         // Nodes 5..11 are still connected by the unique path, so r equals the
         // number of hops.
         assert!((index.resistance(5, 8).unwrap() - 3.0).abs() < 1e-7);
@@ -295,7 +324,7 @@ mod tests {
     #[test]
     fn nearest_returns_sorted_neighbours_first() {
         let g = generators::lollipop(8, 5).unwrap();
-        let mut index = ErIndex::build(&g).unwrap();
+        let index = ErIndex::build(&g).unwrap();
         let nearest = index.nearest(0, 4).unwrap();
         assert_eq!(nearest.len(), 4);
         for pair in nearest.windows(2) {
@@ -318,18 +347,70 @@ mod tests {
     #[test]
     fn column_cache_respects_capacity() {
         let g = generators::complete(30).unwrap();
-        let mut index = ErIndex::build(&g).unwrap().with_column_capacity(2);
+        let index = ErIndex::build(&g).unwrap().with_column_capacity(2);
         index.resistance(0, 1).unwrap();
         index.resistance(2, 3).unwrap();
         index.resistance(4, 5).unwrap();
-        assert!(index.cached_columns() <= 2);
+        assert!(index.resident_columns().len() <= 2);
         assert!(index.total_solves() >= 33, "30 build solves + 3 columns");
+    }
+
+    #[test]
+    fn concurrent_queries_solve_each_column_once_and_match_sequential_bits() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<ErIndex>();
+        let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        let g = generators::social_network_like(300, 8.0, 4).unwrap();
+        let sequential = ErIndex::build(&g).unwrap();
+        let build = sequential.total_solves();
+
+        // Eight readers of one cold column, released together by a barrier:
+        // it is solved exactly once.
+        let want = bits(&sequential.single_source(3).unwrap());
+        let shared = ErIndex::build(&g).unwrap();
+        let start = Barrier::new(8);
+        std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        shared.single_source(3).unwrap()
+                    })
+                })
+                .collect();
+            for reader in readers {
+                assert_eq!(bits(&reader.join().unwrap()), want);
+            }
+        });
+        assert_eq!(shared.total_solves(), build + 1);
+
+        // Eight readers of eight different columns: one solve each.
+        let shared = ErIndex::build(&g).unwrap();
+        std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..8)
+                .map(|s| {
+                    let (shared, start) = (&shared, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        let row = shared.single_source(s).unwrap();
+                        (s, row, shared.resistance(s, 299).unwrap())
+                    })
+                })
+                .collect();
+            for reader in readers {
+                let (s, row, r) = reader.join().unwrap();
+                assert_eq!(bits(&row), bits(&sequential.single_source(s).unwrap()));
+                let want = sequential.resistance(s, 299).unwrap();
+                assert_eq!(r.to_bits(), want.to_bits(), "source {s}");
+            }
+        });
+        assert_eq!(shared.total_solves(), build + 8);
     }
 
     #[test]
     fn invalid_nodes_and_graphs_are_rejected() {
         let g = generators::complete(5).unwrap();
-        let mut index = ErIndex::build(&g).unwrap();
+        let index = ErIndex::build(&g).unwrap();
         assert!(index.resistance(0, 9).is_err());
         assert!(index.single_source(7).is_err());
         let disconnected = er_graph::GraphBuilder::from_edges(4, vec![(0, 1), (2, 3)])

@@ -7,21 +7,21 @@
 //! ([`ForkableEstimator`]), so the same plan produces bit-identical answers
 //! at any thread count and irrespective of scheduling order.
 //!
-//! Five families implement the trait:
+//! Five types implement the trait:
 //!
 //! * [`EstimatorBackend`] — wraps any [`ForkableEstimator`] (AMC, SMM,
 //!   TP, TPC, RP, MC, MC2, EXACT) and fans the plan items out over worker
 //!   threads.
-//! * [`GeerBackend`] — batch-native GEER: one shared SMM frontier per
+//! * [`GeerBatch`] — batch-native GEER: one shared SMM frontier per
 //!   distinct endpoint of the plan, per-pair Eq. 17 switch points and AMC
 //!   tails on the per-item streams, bit-identical to per-pair forks.
 //! * [`HayBatchBackend`] — the batch-native HAY: one pool of uniform
 //!   spanning trees scores *every* edge of the set at once, amortising the
 //!   trees the per-query estimator would sample per edge.
-//! * [`IndexBackend`] — the column-based [`ErIndex`]: single-source rows,
+//! * [`ErIndex`] — the column-based exact index (INDEX): single-source rows,
 //!   the pseudo-inverse diagonal, nearest-neighbour search and exact pairs.
-//! * [`LandmarkBackend`] — O(k)-per-query triangle-inequality point
-//!   estimates from landmark columns.
+//! * [`LandmarkIndex`] — O(k)-per-query triangle-inequality point
+//!   estimates from landmark columns (LANDMARK).
 
 use crate::capability::{QueryShape, QueryShapeSet};
 use crate::error::ServiceError;
@@ -30,13 +30,10 @@ use crate::response::Response;
 use er_core::{
     ApproxConfig, CostBreakdown, EstimatorError, ForkableEstimator, GeerBatch, GraphContext,
 };
-use er_graph::{Graph, NodeId};
+use er_graph::NodeId;
 use er_index::{ErIndex, LandmarkIndex};
 use er_walks::par;
 use er_walks::spanning::sample_spanning_trees;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Arc, OnceLock, RwLock};
 
 /// One unit of pair-shaped work: a distinct, uncached, non-trivial pair.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -200,7 +197,7 @@ impl<E: ForkableEstimator> Backend for EstimatorBackend<E> {
 }
 
 /// Batch-native GEER: the plan's pairs are answered by one
-/// [`GeerBatch`] run that expands a single SMM frontier per *distinct
+/// [`GeerBatch::run`] that expands a single SMM frontier per *distinct
 /// endpoint* and lets every pair touching that endpoint read it, instead of
 /// paying the source expansion once per pair as a per-item
 /// [`EstimatorBackend`] fork would. Per-pair Eq. 17 switch points and AMC
@@ -211,28 +208,7 @@ impl<E: ForkableEstimator> Backend for EstimatorBackend<E> {
 /// The response splits cost accordingly: the shared SMM expansion lands in
 /// [`Response::shared_cost`] (counted once for the whole plan), the private
 /// AMC tails in [`Response::item_costs`].
-pub struct GeerBackend {
-    batch: GeerBatch,
-}
-
-impl GeerBackend {
-    /// Creates the backend over a preprocessed graph.
-    pub fn new(context: &GraphContext, config: ApproxConfig) -> Self {
-        GeerBackend {
-            batch: GeerBatch::new(context, config),
-        }
-    }
-
-    /// Caps each pair's AMC tail at `budget` walks (mirrors
-    /// [`er_core::Geer::with_walk_budget`]).
-    #[must_use]
-    pub fn with_walk_budget(mut self, budget: u64) -> Self {
-        self.batch = self.batch.with_walk_budget(budget);
-        self
-    }
-}
-
-impl Backend for GeerBackend {
+impl Backend for GeerBatch {
     fn name(&self) -> &'static str {
         "GEER"
     }
@@ -245,7 +221,7 @@ impl Backend for GeerBackend {
         check_capability(self, plan.shape)?;
         debug_assert_eq!(plan.items.len(), streams.streams.len());
         let pairs: Vec<(NodeId, NodeId)> = plan.items.iter().map(|i| (i.s, i.t)).collect();
-        let run = self.batch.run(&pairs, &streams.streams, streams.threads)?;
+        let run = self.run(&pairs, &streams.streams, streams.threads)?;
         let mut cost = run.shared_cost;
         for item in &run.item_costs {
             cost += *item;
@@ -392,211 +368,11 @@ impl Backend for HayBatchBackend {
     }
 }
 
-/// A read-mostly cache of Laplacian pseudo-inverse columns: a `RwLock`ed map
-/// of per-column once-cells. Readers of an already-solved column take only
-/// the read lock (shared, uncontended); a missing column inserts its cell
-/// under a brief write lock and then solves **outside** any map lock inside
-/// the cell's `OnceLock`, so concurrent requests for *different* columns
-/// solve in parallel and concurrent requests for the *same* column solve
-/// exactly once (the losers block on the cell, not on the map).
-/// One column slot: shared so readers can clone it out of the map and block
-/// on the `OnceLock` (not the map lock) while the first requester solves.
-type ColumnCell = Arc<OnceLock<Arc<Vec<f64>>>>;
-
-struct ColumnCache {
-    cells: RwLock<HashMap<NodeId, ColumnCell>>,
-    capacity: usize,
-    solves: AtomicU64,
-}
-
-impl ColumnCache {
-    fn new(capacity: usize) -> Self {
-        ColumnCache {
-            cells: RwLock::new(HashMap::new()),
-            capacity: capacity.max(1),
-            solves: AtomicU64::new(0),
-        }
-    }
-
-    /// Seeds an already-solved column (the warm working set handed over by
-    /// the wrapped `ErIndex`).
-    fn seed(&self, s: NodeId, column: Vec<f64>) {
-        let cell: ColumnCell = Arc::new(OnceLock::new());
-        let _ = cell.set(Arc::new(column));
-        self.cells
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(s, cell);
-    }
-
-    /// Every currently-resident (initialized) column, sorted by source node
-    /// for determinism. In-flight cells still solving are skipped.
-    fn resident(&self) -> Vec<(NodeId, Vec<f64>)> {
-        let mut out: Vec<(NodeId, Vec<f64>)> = self
-            .cells
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .filter_map(|(&s, cell)| cell.get().map(|col| (s, col.as_ref().clone())))
-            .collect();
-        out.sort_unstable_by_key(|&(s, _)| s);
-        out
-    }
-
-    /// The column `L† e_s`, solving it at most once per residency.
-    fn column(&self, graph: &Graph, s: NodeId) -> Arc<Vec<f64>> {
-        let existing = self
-            .cells
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&s)
-            .cloned();
-        let cell = match existing {
-            Some(cell) => cell,
-            None => {
-                let mut map = self.cells.write().unwrap_or_else(|e| e.into_inner());
-                if !map.contains_key(&s) && map.len() >= self.capacity {
-                    // Evict an arbitrary *initialized* column, like the
-                    // ErIndex working-set cache; in-flight readers keep
-                    // their Arc alive, so eviction never blocks on them.
-                    // Cells still solving are never evicted from under
-                    // their waiters.
-                    if let Some(&evict) = map
-                        .iter()
-                        .find(|(_, cell)| cell.get().is_some())
-                        .map(|(k, _)| k)
-                    {
-                        map.remove(&evict);
-                    }
-                }
-                map.entry(s)
-                    .or_insert_with(|| Arc::new(OnceLock::new()))
-                    .clone()
-            }
-        };
-        cell.get_or_init(|| {
-            let x = er_index::solve_column(graph, s);
-            self.solves.fetch_add(1, AtomicOrdering::Relaxed);
-            Arc::new(x)
-        })
-        .clone()
-    }
-}
-
-/// The column-based exact index as a backend: answers every shape.
-///
-/// Built from an [`ErIndex`] (whose pre-computed `diag(L†)` it keeps), but
-/// the query path is its own: the diagonal is immutable shared state and the
-/// column tier is a `ColumnCache` — a read-mostly `RwLock` map of
-/// per-column once-cells — so source-shaped queries on already-resident
-/// columns run concurrently across server workers instead of serialising
-/// behind the single index mutex this backend used to hold. Values are
-/// deterministic CG solves either way; concurrency changes throughput only.
-pub struct IndexBackend {
-    graph: Arc<Graph>,
-    diagonal: Vec<f64>,
-    columns: ColumnCache,
-    build_solves: u64,
-}
-
-impl IndexBackend {
-    /// Wraps a built index, taking over its graph handle, pre-computed
-    /// diagonal, configured column capacity and already-solved columns (a
-    /// pre-warmed working set stays warm, and its solves are not repeated).
-    pub fn new(mut index: ErIndex) -> Self {
-        let columns = ColumnCache::new(index.column_capacity());
-        for (s, column) in index.take_cached_columns() {
-            columns.seed(s, column);
-        }
-        IndexBackend {
-            graph: index.graph_arc().clone(),
-            diagonal: index.diagonal().to_vec(),
-            columns,
-            build_solves: index.total_solves(),
-        }
-    }
-
-    /// Reassembles a backend from previously extracted parts. `diagonal`
-    /// must be `diag(L†)` of `graph` and every entry of `columns` a solved
-    /// `L† e_s` on `graph` — or, in incremental dynamic serving, the
-    /// Sherman–Morrison-advanced versions of both after a mutation burst.
-    /// No solves are performed; `build_solves` seeds the solve counter so
-    /// cost accounting carries across epochs.
-    pub fn from_parts(
-        graph: Arc<Graph>,
-        diagonal: Vec<f64>,
-        column_capacity: usize,
-        columns: Vec<(NodeId, Vec<f64>)>,
-        build_solves: u64,
-    ) -> Self {
-        assert_eq!(
-            diagonal.len(),
-            graph.num_nodes(),
-            "diagonal must cover every node"
-        );
-        let cache = ColumnCache::new(column_capacity);
-        for (s, column) in columns {
-            assert_eq!(column.len(), graph.num_nodes());
-            cache.seed(s, column);
-        }
-        IndexBackend {
-            graph,
-            diagonal,
-            columns: cache,
-            build_solves,
-        }
-    }
-
-    /// The pre-computed pseudo-inverse diagonal `diag(L†)`.
-    pub fn diagonal(&self) -> &[f64] {
-        &self.diagonal
-    }
-
-    /// The currently-resident columns `(s, L† e_s)`, sorted by source —
-    /// the extraction side of the [`from_parts`](Self::from_parts) seam.
-    pub fn resident_columns(&self) -> Vec<(NodeId, Vec<f64>)> {
-        self.columns.resident()
-    }
-
-    /// The configured column-cache capacity.
-    pub fn column_capacity(&self) -> usize {
-        self.columns.capacity
-    }
-
-    /// The shared graph handle the backend answers over.
-    pub fn graph_arc(&self) -> &Arc<Graph> {
-        &self.graph
-    }
-
-    /// Number of Laplacian solves performed so far (index build + columns).
-    pub fn total_solves(&self) -> u64 {
-        self.build_solves + self.columns.solves.load(AtomicOrdering::Relaxed)
-    }
-
-    /// The solve count the backend was built with (excluding on-demand
-    /// column solves since).
-    pub fn build_solves(&self) -> u64 {
-        self.build_solves
-    }
-
-    fn check_node(&self, v: NodeId) -> Result<(), ServiceError> {
-        self.graph
-            .check_node(v)
-            .map_err(er_index::IndexError::from)?;
-        Ok(())
-    }
-
-    /// `r(source, ·)` for every node, from the diagonal and one column —
-    /// the same shared identity `ErIndex` answers with, so the two tiers
-    /// can never drift apart.
-    fn single_source_row(&self, source: NodeId) -> Result<Vec<f64>, ServiceError> {
-        self.check_node(source)?;
-        let column = self.columns.column(&self.graph, source);
-        Ok(er_index::row_from_column(&self.diagonal, &column, source))
-    }
-}
-
-impl Backend for IndexBackend {
+/// The column-based exact index answers every shape, one Laplacian solve
+/// per source column through `r(s, t) = L†(s, s) + L†(t, t) − 2 L†(s, t)`.
+/// Its queries take `&self` and its column cache is concurrent, so
+/// source-shaped queries run in parallel across server workers.
+impl Backend for ErIndex {
     fn name(&self) -> &'static str {
         "INDEX"
     }
@@ -611,38 +387,21 @@ impl Backend for IndexBackend {
         let mut nodes = Vec::new();
         let values = match plan.shape {
             QueryShape::SingleSource => {
-                let source = plan.source.expect("single-source plan carries a source");
-                self.single_source_row(source)?
+                self.single_source(plan.source.expect("single-source plan carries a source"))?
             }
-            QueryShape::Diagonal => self.diagonal.clone(),
+            QueryShape::Diagonal => self.diagonal().to_vec(),
             QueryShape::TopK => {
                 let source = plan.source.expect("top-k plan carries a source");
-                let scored =
-                    er_index::nearest_from_row(self.single_source_row(source)?, source, plan.k);
+                let scored = self.nearest(source, plan.k)?;
                 nodes = scored.iter().map(|&(v, _)| v).collect();
                 scored.into_iter().map(|(_, r)| r).collect()
             }
-            QueryShape::Pair | QueryShape::Batch | QueryShape::EdgeSet => {
-                let mut out = Vec::with_capacity(plan.items.len());
-                for item in &plan.items {
-                    self.check_node(item.s)?;
-                    self.check_node(item.t)?;
-                    if item.s == item.t {
-                        out.push(0.0);
-                    } else {
-                        let column = self.columns.column(&self.graph, item.s);
-                        out.push(er_index::resistance_from_column(
-                            &self.diagonal,
-                            &column,
-                            item.s,
-                            item.t,
-                        ));
-                    }
-                }
-                out
-            }
+            QueryShape::Pair | QueryShape::Batch | QueryShape::EdgeSet => plan
+                .items
+                .iter()
+                .map(|item| self.resistance(item.s, item.t))
+                .collect::<Result<_, _>>()?,
         };
-        let backend_calls = plan.items.len() as u64;
         let cost = CostBreakdown {
             // The index's unit of work is the Laplacian solve; report the
             // solves observed during this plan (cached columns cost none;
@@ -661,33 +420,16 @@ impl Backend for IndexBackend {
             shared_cost: cost,
             item_costs: vec![CostBreakdown::default(); plan.items.len()],
             cache_hits: 0,
-            backend_calls,
+            backend_calls: plan.items.len() as u64,
             trivial_queries: 0,
         })
     }
 }
 
-/// Landmark triangle-inequality bounds as a backend. Answers pair-shaped
-/// queries with the bound midpoint in O(k) per pair — no solves, no walks —
-/// at the price of only bounded (not ε-controlled) error.
-pub struct LandmarkBackend {
-    index: LandmarkIndex,
-}
-
-impl LandmarkBackend {
-    /// Wraps a built landmark index.
-    pub fn new(index: LandmarkIndex) -> Self {
-        LandmarkBackend { index }
-    }
-
-    /// The underlying landmark index (for bound queries the midpoint
-    /// estimate discards).
-    pub fn index(&self) -> &LandmarkIndex {
-        &self.index
-    }
-}
-
-impl Backend for LandmarkBackend {
+/// Landmark triangle-inequality bounds answer pair-shaped queries with the
+/// bound midpoint in O(k) per pair — no solves, no walks — at the price of
+/// only bounded (not ε-controlled) error.
+impl Backend for LandmarkIndex {
     fn name(&self) -> &'static str {
         "LANDMARK"
     }
@@ -700,7 +442,7 @@ impl Backend for LandmarkBackend {
         check_capability(self, plan.shape)?;
         let mut values = Vec::with_capacity(plan.items.len());
         for item in &plan.items {
-            values.push(self.index.estimate(item.s, item.t)?);
+            values.push(self.estimate(item.s, item.t)?);
         }
         Ok(Response {
             values,
@@ -806,7 +548,7 @@ mod tests {
         )
         .answer(&plan, &streams)
         .unwrap();
-        let backend = GeerBackend::new(&context, config);
+        let backend = GeerBatch::new(&context, config);
         let base = backend.answer(&plan, &streams).unwrap();
         let solo_bits: Vec<u64> = solo.values.iter().map(|v| v.to_bits()).collect();
         let base_bits: Vec<u64> = base.values.iter().map(|v| v.to_bits()).collect();
@@ -915,13 +657,22 @@ mod tests {
     #[test]
     fn index_backend_inherits_capacity_and_warm_columns() {
         let context = ctx();
-        let mut index = ErIndex::build(context.graph_arc().clone())
+        let index = ErIndex::build(context.graph_arc().clone())
             .unwrap()
             .with_column_capacity(7);
         index.resistance(5, 40).unwrap(); // warms column 5
         let warm_solves = index.total_solves();
-        let backend = IndexBackend::new(index);
+        // Reassembly from extracted parts (the dynamic service's carry)
+        // keeps the capacity and the warm column without solving.
+        let backend = ErIndex::from_parts(
+            index.graph_arc().clone(),
+            index.diagonal().to_vec(),
+            index.column_capacity(),
+            index.resident_columns(),
+            warm_solves,
+        );
         assert_eq!(backend.total_solves(), warm_solves, "no solves on handoff");
+        assert_eq!(backend.column_capacity(), 7);
         let pair = backend
             .answer(
                 &Plan::for_items(
@@ -938,6 +689,10 @@ mod tests {
             "a pre-warmed column must not be re-solved"
         );
         assert_eq!(pair.cost.solver_iterations, 0);
+        assert_eq!(
+            pair.values[0].to_bits(),
+            index.resistance(5, 40).unwrap().to_bits()
+        );
         // A cold column still solves exactly once.
         backend
             .answer(
@@ -955,7 +710,7 @@ mod tests {
     #[test]
     fn index_backend_answers_every_shape_and_agrees_with_exact() {
         let context = ctx();
-        let backend = IndexBackend::new(ErIndex::build(context.graph_arc().clone()).unwrap());
+        let backend = ErIndex::build(context.graph_arc().clone()).unwrap();
         let mut exact = Exact::with_solver(&context);
         let streams = StreamPlan::sequential(0, 1);
 

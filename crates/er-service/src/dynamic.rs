@@ -41,14 +41,13 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::backend::{IndexBackend, LandmarkBackend};
 use crate::error::ServiceError;
 use crate::query::{Query, Request};
 use crate::response::Response;
 use crate::service::ResistanceService;
 use er_core::{ApproxConfig, EstimatorError, GraphContext};
 use er_graph::{Graph, NodeId, OverlayGraph};
-use er_index::{IndexError, LandmarkIndex};
+use er_index::{ErIndex, IndexError, LandmarkIndex};
 use er_linalg::{solve_overlay_laplacian, LaplacianSolver, RankOneUpdate};
 
 /// Deletion denominator floor for *carried-state* updates. Looser than
@@ -90,9 +89,9 @@ struct CarriedState {
     diagonal: Vec<f64>,
     /// Resident L⁺ columns, keyed by source node.
     columns: Vec<(NodeId, Vec<f64>)>,
-    /// Column-cache capacity of the harvested backend.
+    /// Column-cache capacity of the harvested index.
     column_capacity: usize,
-    /// Solve count the harvested backend reported (for cost accounting).
+    /// Build solve count of the harvested index (for cost accounting).
     build_solves: u64,
     /// Landmark ids and their *resistance* rows `r(landmark, v)` (squared
     /// back from the stored `√r` so [`RankOneUpdate::apply_resistance`]
@@ -252,8 +251,7 @@ impl DynamicResistanceService {
         let Some(index) = epoch.service().index_backend() else {
             return;
         };
-        let landmarks = epoch.service().landmark_backend().map(|backend| {
-            let index = backend.index();
+        let landmarks = epoch.service().landmark_backend().map(|index| {
             let ids = index.landmarks().to_vec();
             let n = index.num_nodes();
             let rows = (0..ids.len())
@@ -470,21 +468,21 @@ impl DynamicResistanceService {
 
         let mut service = ResistanceService::from_context(context, self.config);
         if let Some(carried) = &inner.carried {
-            let backend = IndexBackend::from_parts(
+            let index = ErIndex::from_parts(
                 graph,
                 carried.diagonal.clone(),
                 carried.column_capacity,
                 carried.columns.clone(),
                 carried.build_solves,
             );
-            service = service.with_prebuilt_index(Arc::new(backend));
+            service = service.with_prebuilt_index(Arc::new(index));
             if let Some((ids, rows)) = &carried.landmarks {
                 let sqrt = rows
                     .iter()
                     .map(|row| row.iter().map(|&r| r.max(0.0).sqrt()).collect())
                     .collect();
                 let index = LandmarkIndex::from_parts(ids.clone(), sqrt, carried.diagonal.len())?;
-                service = service.with_prebuilt_landmarks(Arc::new(LandmarkBackend::new(index)));
+                service = service.with_prebuilt_landmarks(Arc::new(index));
             }
         }
         let epoch = Arc::new(ServiceEpoch { version, service });

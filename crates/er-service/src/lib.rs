@@ -72,10 +72,7 @@ pub mod server;
 pub mod service;
 pub mod session;
 
-pub use backend::{
-    Backend, EstimatorBackend, GeerBackend, HayBatchBackend, IndexBackend, LandmarkBackend, Plan,
-    PlanItem, StreamPlan,
-};
+pub use backend::{Backend, EstimatorBackend, HayBatchBackend, Plan, PlanItem, StreamPlan};
 pub use capability::{QueryShape, QueryShapeSet};
 pub use dynamic::{DynamicResistanceService, ServiceEpoch};
 pub use error::ServiceError;
@@ -86,4 +83,4 @@ pub use query::{Accuracy, Query, Request};
 pub use response::Response;
 pub use server::{ResistanceServer, ServerConfig, ServerHandle, ServerStats};
 pub use service::ResistanceService;
-pub use session::{Priority, Session, SubmitOptions, Ticket};
+pub use session::{Priority, SubmitOptions, Ticket};

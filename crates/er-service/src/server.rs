@@ -44,7 +44,7 @@ use crate::error::ServiceError;
 use crate::query::{Accuracy, Query, Request};
 use crate::response::Response;
 use crate::service::ResistanceService;
-use crate::session::{ResponseSlot, Session, SubmitOptions, Ticket};
+use crate::session::{ResponseSlot, SubmitOptions, Ticket};
 use er_walks::par::resolve_threads;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
@@ -590,11 +590,6 @@ impl ServerHandle {
         drop(st);
         self.shared.work_ready.notify_one();
         Ok(Ticket::new(slot))
-    }
-
-    /// A [`Session`] bound to this server, for per-client defaults.
-    pub fn session(&self) -> Session {
-        Session::new(self.clone())
     }
 
     /// The shared service underneath (e.g. for [`plan`] previews or cache

@@ -15,18 +15,15 @@
 //!
 //! [`submit`]: ResistanceService::submit
 
-use crate::backend::{
-    Backend, EstimatorBackend, GeerBackend, HayBatchBackend, IndexBackend, LandmarkBackend, Plan,
-    PlanItem, StreamPlan,
-};
+use crate::backend::{Backend, EstimatorBackend, HayBatchBackend, Plan, PlanItem, StreamPlan};
 use crate::capability::QueryShape;
 use crate::error::ServiceError;
 use crate::planner::{BackendChoice, GraphSignals, Planner, PlannerConfig, PlannerState};
 use crate::query::{Accuracy, Query, Request};
 use crate::response::Response;
-use er_core::{Amc, ApproxConfig, Exact, GraphContext, Mc, Mc2, Rp, Smm, Tp, Tpc};
+use er_core::{Amc, ApproxConfig, Exact, GeerBatch, GraphContext, Mc, Mc2, Rp, Smm, Tp, Tpc};
 use er_graph::{IntoGraphArc, NodeId};
-use er_index::{DiagonalStrategy, ErIndex, LandmarkIndex, LandmarkSelection, QueryCache};
+use er_index::{ErIndex, LandmarkIndex, LandmarkSelection, QueryCache};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -162,7 +159,7 @@ type RpKey = (u64, u64);
 /// unaffected.
 #[derive(Default)]
 struct BackendRegistry {
-    index: Mutex<Option<Arc<IndexBackend>>>,
+    index: Mutex<Option<Arc<ErIndex>>>,
     /// Lock-free mirror of `index.is_some()`, so [`planner_state`] (called
     /// on every plan, including by the server's scheduler under its queue
     /// lock) never blocks behind a multi-second index *build* holding the
@@ -170,7 +167,7 @@ struct BackendRegistry {
     ///
     /// [`planner_state`]: ResistanceService::planner_state
     index_ready: std::sync::atomic::AtomicBool,
-    landmark: Mutex<Option<Arc<LandmarkBackend>>>,
+    landmark: Mutex<Option<Arc<LandmarkIndex>>>,
     exact_dense: Mutex<Option<Arc<EstimatorBackend<Exact>>>>,
     /// RP's sketch is ε/δ-specific, so it is memoized per operating point.
     rp: Mutex<Option<(RpKey, Arc<EstimatorBackend<Rp>>)>>,
@@ -266,25 +263,10 @@ impl ResistanceService {
             .expect("service builders must run before the service is shared")
     }
 
-    /// Overrides the routing policy.
-    #[must_use]
-    pub fn with_planner(mut self, planner: Planner) -> Self {
-        self.core_mut().planner = planner;
-        self
-    }
-
-    /// Overrides the planner's thresholds (shorthand for
-    /// [`with_planner`](Self::with_planner) on [`Planner::new`]).
+    /// Overrides the planner's thresholds.
     #[must_use]
     pub fn with_planner_config(mut self, config: PlannerConfig) -> Self {
         self.core_mut().planner = Planner::new(config);
-        self
-    }
-
-    /// Overrides the per-accuracy-class cache-shard capacity (entries).
-    #[must_use]
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.caches = CacheTier::new(capacity.max(1));
         self
     }
 
@@ -298,18 +280,18 @@ impl ResistanceService {
     /// Installs a pre-built INDEX backend, marking the index tier ready so
     /// the planner routes to it immediately (no lazy build, no solves).
     ///
-    /// The backend's state must describe this service's graph exactly —
-    /// e.g. an [`IndexBackend::from_parts`] reassembly of state carried
+    /// The index's state must describe this service's graph exactly —
+    /// e.g. an [`ErIndex::from_parts`] reassembly of state carried
     /// across epochs by the dynamic service's Sherman–Morrison updates.
     /// The graph handle must cover the same node set; this is asserted.
     #[must_use]
-    pub fn with_prebuilt_index(self, backend: Arc<IndexBackend>) -> Self {
+    pub fn with_prebuilt_index(self, index: Arc<ErIndex>) -> Self {
         assert_eq!(
-            backend.graph_arc().num_nodes(),
+            index.graph().num_nodes(),
             self.core.context.graph().num_nodes(),
             "prebuilt index must cover the service's node set"
         );
-        *self.backends.index.lock().expect("index slot poisoned") = Some(backend);
+        *self.backends.index.lock().expect("index slot poisoned") = Some(index);
         self.backends
             .index_ready
             .store(true, std::sync::atomic::Ordering::Release);
@@ -320,9 +302,9 @@ impl ResistanceService {
     /// Same contract as [`with_prebuilt_index`](Self::with_prebuilt_index):
     /// the index must describe this service's graph.
     #[must_use]
-    pub fn with_prebuilt_landmarks(self, backend: Arc<LandmarkBackend>) -> Self {
+    pub fn with_prebuilt_landmarks(self, index: Arc<LandmarkIndex>) -> Self {
         assert_eq!(
-            backend.index().num_nodes(),
+            index.num_nodes(),
             self.core.context.graph().num_nodes(),
             "prebuilt landmarks must cover the service's node set"
         );
@@ -330,7 +312,7 @@ impl ResistanceService {
             .backends
             .landmark
             .lock()
-            .expect("landmark slot poisoned") = Some(backend);
+            .expect("landmark slot poisoned") = Some(index);
         self
     }
 
@@ -338,7 +320,7 @@ impl ResistanceService {
     /// never triggers a build. The extraction side of epoch handover: the
     /// dynamic service peeks here to harvest resident columns before a
     /// mutation burst.
-    pub fn index_backend(&self) -> Option<Arc<IndexBackend>> {
+    pub fn index_backend(&self) -> Option<Arc<ErIndex>> {
         self.backends
             .index
             .lock()
@@ -348,7 +330,7 @@ impl ResistanceService {
 
     /// The LANDMARK backend if it has been built (or installed pre-built);
     /// never triggers a build.
-    pub fn landmark_backend(&self) -> Option<Arc<LandmarkBackend>> {
+    pub fn landmark_backend(&self) -> Option<Arc<LandmarkIndex>> {
         self.backends
             .landmark
             .lock()
@@ -795,11 +777,11 @@ impl ResistanceService {
             BackendChoice::Geer => {
                 // GEER is batch-native: one shared SMM frontier per distinct
                 // endpoint of the plan, bit-identical to per-pair forks.
-                let mut backend = GeerBackend::new(ctx, cfg);
+                let mut batch = GeerBatch::new(ctx, cfg);
                 if let Some(b) = budget {
-                    backend = backend.with_walk_budget(b);
+                    batch = batch.with_walk_budget(b);
                 }
-                Arc::new(backend)
+                Arc::new(batch)
             }
             BackendChoice::Amc => {
                 let mut proto = Amc::new(ctx, cfg);
@@ -890,11 +872,9 @@ impl ResistanceService {
                 if slot.is_none() {
                     let index = ErIndex::build_with_threads(
                         self.core.context.graph_arc().clone(),
-                        DiagonalStrategy::ExactSolves,
-                        self.core.config.seed,
                         self.core.config.threads,
                     )?;
-                    *slot = Some(Arc::new(IndexBackend::new(index)));
+                    *slot = Some(Arc::new(index));
                     self.backends
                         .index_ready
                         .store(true, std::sync::atomic::Ordering::Release);
@@ -914,7 +894,7 @@ impl ResistanceService {
                         LandmarkSelection::Mixed,
                         self.core.config.seed,
                     )?;
-                    *slot = Some(Arc::new(LandmarkBackend::new(index)));
+                    *slot = Some(Arc::new(index));
                 }
                 slot.clone().expect("memoized above")
             }

@@ -1,16 +1,13 @@
-//! Client-side vocabulary of the serving plane: [`Ticket`]s, submit-time
-//! scheduling hints ([`Priority`], [`SubmitOptions`]) and the per-client
-//! [`Session`] convenience wrapper.
+//! Client-side vocabulary of the serving plane: [`Ticket`]s and submit-time
+//! scheduling hints ([`Priority`], [`SubmitOptions`]).
 //!
 //! A [`ServerHandle::submit`](crate::ServerHandle::submit) enqueues work and
 //! returns a [`Ticket`] immediately; the caller collects the [`Response`]
-//! with [`Ticket::wait`] (blocking) or polls with [`Ticket::try_wait`].
+//! with [`Ticket::wait`].
 //! Deduplicated requests share one completion slot, so `k` identical
 //! in-flight tickets are all fulfilled by a single computation.
 
 use crate::error::ServiceError;
-use crate::planner::BackendChoice;
-use crate::query::{Accuracy, Query, Request};
 use crate::response::Response;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -123,111 +120,6 @@ impl Ticket {
             state = self.slot.ready.wait(state).expect("response slot poisoned");
         }
     }
-
-    /// Non-blocking poll: `Some(result)` once the request has completed,
-    /// `None` while it is still queued or running. The ticket stays valid
-    /// either way — poll again or [`wait`](Self::wait) later.
-    pub fn try_wait(&self) -> Option<Result<Response, ServiceError>> {
-        self.slot
-            .state
-            .lock()
-            .expect("response slot poisoned")
-            .as_ref()
-            .map(ResponseSlot::clone_result)
-    }
-
-    /// Whether the request has completed (successfully or not).
-    pub fn is_done(&self) -> bool {
-        self.slot
-            .state
-            .lock()
-            .expect("response slot poisoned")
-            .is_some()
-    }
-}
-
-/// A per-client view of a server: carries default accuracy, backend
-/// override, priority and deadline, so call sites submit plain [`Query`]s.
-///
-/// ```
-/// use er_service::{Accuracy, Priority, Query, ResistanceServer, ResistanceService, ServerConfig};
-/// use er_graph::generators;
-///
-/// let graph = generators::social_network_like(200, 8.0, 7).unwrap();
-/// let service = ResistanceService::new(&graph).unwrap();
-/// let handle = ResistanceServer::spawn(service, ServerConfig::default());
-///
-/// let session = handle
-///     .session()
-///     .with_accuracy(Accuracy::epsilon(0.2))
-///     .with_priority(Priority::High);
-/// let r = session.resistance(0, 100).unwrap();
-/// assert!(r > 0.0);
-/// handle.shutdown();
-/// ```
-#[derive(Clone)]
-pub struct Session {
-    handle: crate::server::ServerHandle,
-    accuracy: Accuracy,
-    backend: Option<BackendChoice>,
-    options: SubmitOptions,
-}
-
-impl Session {
-    pub(crate) fn new(handle: crate::server::ServerHandle) -> Session {
-        Session {
-            handle,
-            accuracy: Accuracy::default(),
-            backend: None,
-            options: SubmitOptions::default(),
-        }
-    }
-
-    /// Sets the session's default accuracy target.
-    #[must_use]
-    pub fn with_accuracy(mut self, accuracy: Accuracy) -> Session {
-        self.accuracy = accuracy;
-        self
-    }
-
-    /// Forces a backend for every query of this session.
-    #[must_use]
-    pub fn with_backend(mut self, backend: BackendChoice) -> Session {
-        self.backend = Some(backend);
-        self
-    }
-
-    /// Sets the session's scheduling priority.
-    #[must_use]
-    pub fn with_priority(mut self, priority: Priority) -> Session {
-        self.options.priority = priority;
-        self
-    }
-
-    /// Sets a start deadline applied to every query of this session.
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Duration) -> Session {
-        self.options.deadline = Some(deadline);
-        self
-    }
-
-    /// Submits a query with the session's defaults; returns its [`Ticket`].
-    pub fn submit(&self, query: Query) -> Result<Ticket, ServiceError> {
-        let mut request = Request::new(query).with_accuracy(self.accuracy);
-        if let Some(backend) = self.backend {
-            request = request.with_backend(backend);
-        }
-        self.handle.submit_with(request, self.options)
-    }
-
-    /// Convenience: one pair query, submitted and awaited.
-    pub fn resistance(
-        &self,
-        s: er_graph::NodeId,
-        t: er_graph::NodeId,
-    ) -> Result<f64, ServiceError> {
-        Ok(self.submit(Query::pair(s, t))?.wait()?.value())
-    }
 }
 
 #[cfg(test)]
@@ -255,16 +147,9 @@ mod tests {
     fn tickets_observe_slot_completion() {
         let slot = ResponseSlot::new();
         let ticket = Ticket::new(slot.clone());
-        assert!(!ticket.is_done());
-        assert!(ticket.try_wait().is_none());
         slot.complete(Err(ServiceError::DeadlineExceeded));
         // Completion is idempotent: a second result is ignored.
         slot.complete(Err(ServiceError::ServerShutdown));
-        assert!(ticket.is_done());
-        assert!(matches!(
-            ticket.try_wait(),
-            Some(Err(ServiceError::DeadlineExceeded))
-        ));
         assert!(matches!(ticket.wait(), Err(ServiceError::DeadlineExceeded)));
     }
 

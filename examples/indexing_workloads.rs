@@ -33,7 +33,7 @@ fn main() {
     let config = ApproxConfig::with_epsilon(0.05);
 
     // 1. Single-source profile: rank the whole graph against one node.
-    let mut index = ErIndex::build(&graph).expect("connected, non-bipartite");
+    let index = ErIndex::build(&graph).expect("connected, non-bipartite");
     let source = 17;
     let nearest = index.nearest(source, 5).expect("profile");
     println!("\nfive nodes closest to node {source} in effective resistance:");

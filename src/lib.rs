@@ -104,5 +104,5 @@ pub use er_service::{
     Accuracy, Backend, BackendChoice, DynamicResistanceService, Planner, PlannerConfig,
     PlannerState, Priority, Query, QueryShape, QueryShapeSet, Request, ResistanceServer,
     ResistanceService, Response, ServerConfig, ServerHandle, ServerStats, ServiceEpoch,
-    ServiceError, Session, SubmitOptions, Ticket,
+    ServiceError, SubmitOptions, Ticket,
 };

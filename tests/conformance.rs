@@ -18,6 +18,9 @@
 //! * INDEX on one ε batch of distinct pairs from one source, which both the
 //!   default planner and the GEER-routed planner with a warm index send to
 //!   the index as a repeated-source batch;
+//! * INDEX on source shapes through the default planner: the single-source
+//!   row and the top 5 of three sources per graph, and the Kirchhoff index
+//!   from a `Diagonal` query;
 //! * a [`ServerHandle`] answering queued pairs in coalesced batches;
 //! * er-http `POST /query`;
 //! * a [`DynamicResistanceService`] whose INDEX state is carried by
@@ -27,8 +30,8 @@
 //!
 //! What is asserted:
 //!
-//! * `Exact` answers, and INDEX-served ε answers, are within [`EXACT_TOL`]
-//!   of the truth.
+//! * `Exact` answers, INDEX-served ε answers and INDEX source shapes are
+//!   within [`EXACT_TOL`] of the truth (the Kirchhoff index relatively).
 //! * ε answers are within ε at an observed rate of at least 1 − δ, up to a
 //!   binomial slack. Each answer may miss with probability δ, so a path
 //!   with `n` answers may show [`allowed_misses`]`(n, δ)` misses: the
@@ -402,6 +405,52 @@ fn index_served_epsilon_batches_match_ground_truth() {
                 assert_exact(case, path, pair, value);
             }
         }
+    }
+}
+
+#[test]
+fn index_source_shapes_match_ground_truth() {
+    for case in cases() {
+        let service = case.service();
+        let n = case.context.graph().num_nodes();
+        for s in case.pairs.iter().take(3).map(|&(s, _)| s) {
+            let row = service
+                .submit(&Request::new(Query::single_source(s)))
+                .unwrap();
+            assert_eq!(row.backend, "INDEX", "single source on {}", case.name);
+            assert_eq!(row.values.len(), n);
+            for (t, &value) in row.values.iter().enumerate() {
+                assert_exact(case, "single source", (s, t), value);
+            }
+
+            let top = service.submit(&Request::new(Query::top_k(s, 5))).unwrap();
+            assert_eq!(top.backend, "INDEX", "top-k on {}", case.name);
+            assert_eq!(top.nodes.len(), 5, "top-k on {}", case.name);
+            assert!(!top.nodes.contains(&s));
+            // Compare by node and by rank: tied nodes (the barbell's bells)
+            // may come in either order.
+            let mut ranked: Vec<f64> = (0..n)
+                .filter(|&t| t != s)
+                .map(|t| case.truth.get(s, t))
+                .collect();
+            ranked.sort_by(f64::total_cmp);
+            for (rank, (&v, &value)) in top.nodes.iter().zip(&top.values).enumerate() {
+                assert_exact(case, "top-k", (s, v), value);
+                assert!(
+                    (value - ranked[rank]).abs() <= EXACT_TOL,
+                    "top-k rank {rank} from {s} on {}: {value} vs {}",
+                    case.name,
+                    ranked[rank]
+                );
+            }
+        }
+        let kirchhoff = service.kirchhoff_index().unwrap();
+        let truth = case.truth.kirchhoff_index();
+        assert!(
+            (kirchhoff - truth).abs() <= EXACT_TOL * truth,
+            "Kirchhoff index on {}: {kirchhoff} vs {truth}",
+            case.name
+        );
     }
 }
 

@@ -25,7 +25,7 @@ fn index_estimator_and_ground_truth_agree() {
     let truth = GroundTruth::with_method(&graph, GroundTruthMethod::LaplacianSolve);
     let config = ApproxConfig::with_epsilon(0.05);
     let mut geer = Geer::new(&ctx, config);
-    let mut index = ErIndex::build(&graph).unwrap();
+    let index = ErIndex::build(&graph).unwrap();
     let queries = NodePairQuerySet::uniform(&graph, 8, 21);
     for pair in queries.pairs() {
         let exact = truth.resistance(pair.s, pair.t).unwrap();

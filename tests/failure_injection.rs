@@ -113,7 +113,7 @@ fn index_layer_rejects_invalid_graphs_and_nodes() {
     .is_err());
 
     let graph = generators::complete(10).unwrap();
-    let mut index = ErIndex::build(&graph).unwrap();
+    let index = ErIndex::build(&graph).unwrap();
     assert!(index.resistance(0, 10).is_err());
     assert!(index.single_source(11).is_err());
     assert!(index.diagonal_entry(10).is_err());
