@@ -38,6 +38,47 @@ fn resistance_from_column(diagonal: &[f64], column: &[f64], s: NodeId, t: NodeId
 /// on the `OnceLock` (not the map lock) while the first requester solves.
 type ColumnCell = Arc<OnceLock<Arc<Vec<f64>>>>;
 
+/// The column working set: each cell with its insertion number, so eviction
+/// picks the oldest solved column whatever the map's iteration order.
+#[derive(Default)]
+struct Columns {
+    cells: HashMap<NodeId, (u64, ColumnCell)>,
+    inserted: u64,
+}
+
+impl Columns {
+    fn insert(&mut self, s: NodeId, cell: ColumnCell) {
+        self.cells.insert(s, (self.inserted, cell));
+        self.inserted += 1;
+    }
+
+    /// The cell of column `s`, inserting an empty one if it is absent.
+    fn cell_or_insert(&mut self, s: NodeId, capacity: usize) -> ColumnCell {
+        if let Some((_, cell)) = self.cells.get(&s) {
+            return cell.clone();
+        }
+        if self.cells.len() >= capacity {
+            // Evict the oldest *solved* column; the cache is a working set,
+            // not an LRU — sources in this access pattern repeat immediately
+            // or not at all. Readers holding the evicted column keep their
+            // `Arc`, and cells still solving are never evicted from under
+            // their waiters.
+            if let Some(evict) = self
+                .cells
+                .iter()
+                .filter(|(_, (_, cell))| cell.get().is_some())
+                .min_by_key(|(_, (inserted, _))| *inserted)
+                .map(|(&s, _)| s)
+            {
+                self.cells.remove(&evict);
+            }
+        }
+        let cell = ColumnCell::default();
+        self.insert(s, cell.clone());
+        cell
+    }
+}
+
 /// Exact (up to solver tolerance) effective-resistance index built from
 /// Laplacian pseudo-inverse columns and a pre-computed diagonal.
 ///
@@ -50,11 +91,12 @@ type ColumnCell = Arc<OnceLock<Arc<Vec<f64>>>>;
 /// `OnceLock`. Concurrent requests for different columns therefore solve in
 /// parallel, and concurrent requests for the same column solve it exactly
 /// once. Values are deterministic CG solves, so concurrency changes
-/// throughput only.
+/// throughput only. At capacity the oldest solved column is evicted (first
+/// in, first out), so the resident set is a function of the query sequence.
 pub struct ErIndex {
     graph: Arc<Graph>,
     diagonal: Vec<f64>,
-    columns: RwLock<HashMap<NodeId, ColumnCell>>,
+    columns: RwLock<Columns>,
     column_capacity: usize,
     build_solves: u64,
     column_solves: AtomicU64,
@@ -94,7 +136,8 @@ impl ErIndex {
     /// `L† e_s` on `graph` — or, in incremental dynamic serving, the
     /// Sherman–Morrison-advanced versions of both after a mutation burst.
     /// No solves are performed; `build_solves` seeds the solve counter so
-    /// cost accounting carries across epochs.
+    /// cost accounting carries across epochs. `columns` enter the cache in
+    /// the order given, which is the order they are evicted in.
     ///
     /// # Panics
     /// Panics if `diagonal` or a column does not cover every node.
@@ -107,13 +150,11 @@ impl ErIndex {
     ) -> Self {
         let n = graph.num_nodes();
         assert_eq!(diagonal.len(), n, "diagonal must cover every node");
-        let cells = columns
-            .into_iter()
-            .map(|(s, column)| {
-                assert_eq!(column.len(), n, "column {s} must cover every node");
-                (s, Arc::new(OnceLock::from(Arc::new(column))))
-            })
-            .collect();
+        let mut cells = Columns::default();
+        for (s, column) in columns {
+            assert_eq!(column.len(), n, "column {s} must cover every node");
+            cells.insert(s, Arc::new(OnceLock::from(Arc::new(column))));
+        }
         ErIndex {
             graph,
             diagonal,
@@ -177,8 +218,9 @@ impl ErIndex {
             .columns
             .read()
             .unwrap_or_else(|e| e.into_inner())
+            .cells
             .iter()
-            .filter_map(|(&s, cell)| cell.get().map(|col| (s, col.as_ref().clone())))
+            .filter_map(|(&s, (_, cell))| cell.get().map(|col| (s, col.as_ref().clone())))
             .collect();
         out.sort_unstable_by_key(|&(s, _)| s);
         out
@@ -190,29 +232,16 @@ impl ErIndex {
             .columns
             .read()
             .unwrap_or_else(|e| e.into_inner())
+            .cells
             .get(&s)
-            .cloned();
+            .map(|(_, cell)| cell.clone());
         let cell = match existing {
             Some(cell) => cell,
-            None => {
-                let mut map = self.columns.write().unwrap_or_else(|e| e.into_inner());
-                if !map.contains_key(&s) && map.len() >= self.column_capacity {
-                    // Evict an arbitrary *solved* column; the cache is a
-                    // working set, not an LRU — sources in this access
-                    // pattern repeat immediately or not at all. Readers
-                    // holding the evicted column keep their `Arc`, and cells
-                    // still solving are never evicted from under their
-                    // waiters.
-                    if let Some(&evict) = map
-                        .iter()
-                        .find(|(_, cell)| cell.get().is_some())
-                        .map(|(k, _)| k)
-                    {
-                        map.remove(&evict);
-                    }
-                }
-                map.entry(s).or_default().clone()
-            }
+            None => self
+                .columns
+                .write()
+                .unwrap_or_else(|e| e.into_inner())
+                .cell_or_insert(s, self.column_capacity),
         };
         cell.get_or_init(|| {
             let solver = LaplacianSolver::for_ground_truth(&self.graph);
@@ -353,6 +382,50 @@ mod tests {
         index.resistance(4, 5).unwrap();
         assert!(index.resident_columns().len() <= 2);
         assert!(index.total_solves() >= 33, "30 build solves + 3 columns");
+    }
+
+    #[test]
+    fn column_eviction_is_first_in_first_out() {
+        let g = generators::complete(12).unwrap();
+        for _ in 0..16 {
+            // A fresh map per index, each with its own hash seed: the victim
+            // must not depend on iteration order.
+            let index = ErIndex::build(&g).unwrap().with_column_capacity(2);
+            for s in [2, 0, 1] {
+                index.single_source(s).unwrap();
+            }
+            let resident: Vec<NodeId> = index.resident_columns().iter().map(|&(s, _)| s).collect();
+            assert_eq!(resident, [0, 1], "source 2 entered first and leaves first");
+        }
+    }
+
+    #[test]
+    fn from_parts_keeps_capacity_and_warm_columns() {
+        let g = generators::social_network_like(120, 8.0, 3).unwrap();
+        let index = ErIndex::build(&g).unwrap().with_column_capacity(7);
+        index.resistance(5, 40).unwrap(); // warms column 5
+        let warm_solves = index.total_solves();
+        // Reassembly from extracted parts (the dynamic service's carry)
+        // keeps the capacity and the warm column without solving.
+        let carried = ErIndex::from_parts(
+            index.graph_arc().clone(),
+            index.diagonal().to_vec(),
+            index.column_capacity(),
+            index.resident_columns(),
+            warm_solves,
+        );
+        assert_eq!(carried.total_solves(), warm_solves, "no solves on handoff");
+        assert_eq!(carried.column_capacity(), 7);
+        let pair = carried.resistance(5, 40).unwrap();
+        assert_eq!(
+            carried.total_solves(),
+            warm_solves,
+            "a pre-warmed column must not be re-solved"
+        );
+        assert_eq!(pair.to_bits(), index.resistance(5, 40).unwrap().to_bits());
+        // A cold column still solves exactly once.
+        carried.resistance(9, 40).unwrap();
+        assert_eq!(carried.total_solves(), warm_solves + 1);
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Query shapes and capability sets.
+//! Query shapes.
 //!
-//! Every [`Backend`](crate::Backend) declares which query shapes it can
-//! answer as a [`QueryShapeSet`]; the [`Planner`](crate::Planner) only routes
-//! a query to a backend whose set contains the query's shape, and an explicit
-//! backend override is rejected up front when the shapes do not match.
+//! [`BackendChoice::answers`](crate::BackendChoice::answers) says which
+//! shapes each backend can answer; the [`Planner`](crate::Planner) only
+//! routes a query to a backend that answers its shape, and an explicit
+//! backend override is rejected up front when it does not.
 
 use std::fmt;
 
@@ -26,31 +26,14 @@ pub enum QueryShape {
 }
 
 impl QueryShape {
-    const ALL: [QueryShape; 6] = [
-        QueryShape::Pair,
-        QueryShape::Batch,
-        QueryShape::SingleSource,
-        QueryShape::Diagonal,
-        QueryShape::EdgeSet,
-        QueryShape::TopK,
-    ];
-
-    const fn bit(self) -> u8 {
-        match self {
-            QueryShape::Pair => 1 << 0,
-            QueryShape::Batch => 1 << 1,
-            QueryShape::SingleSource => 1 << 2,
-            QueryShape::Diagonal => 1 << 3,
-            QueryShape::EdgeSet => 1 << 4,
-            QueryShape::TopK => 1 << 5,
-        }
-    }
-
     /// Whether this is a pair-shaped query (`Pair`, `Batch`, `EdgeSet`) —
     /// the shapes that flow through the cache/dedup tier and that the
     /// server may coalesce across requests.
     pub const fn is_pairwise(self) -> bool {
-        QueryShapeSet::PAIRWISE.0 & self.bit() != 0
+        matches!(
+            self,
+            QueryShape::Pair | QueryShape::Batch | QueryShape::EdgeSet
+        )
     }
 }
 
@@ -68,84 +51,9 @@ impl fmt::Display for QueryShape {
     }
 }
 
-/// A set of [`QueryShape`]s — the capability declaration of a backend.
-///
-/// ```
-/// use er_service::{QueryShape, QueryShapeSet};
-///
-/// let pairwise = QueryShapeSet::PAIRWISE;
-/// assert!(pairwise.contains(QueryShape::Batch));
-/// assert!(!pairwise.contains(QueryShape::Diagonal));
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct QueryShapeSet(u8);
-
-impl QueryShapeSet {
-    /// The empty set.
-    pub const EMPTY: QueryShapeSet = QueryShapeSet(0);
-
-    /// Every shape.
-    pub const ALL: QueryShapeSet = QueryShapeSet(0b11_1111);
-
-    /// The pair-shaped queries: [`QueryShape::Pair`], [`QueryShape::Batch`]
-    /// and [`QueryShape::EdgeSet`] (an edge set is a batch whose pairs happen
-    /// to be edges) — what a generic [`ResistanceEstimator`] can answer.
-    ///
-    /// [`ResistanceEstimator`]: er_core::ResistanceEstimator
-    pub const PAIRWISE: QueryShapeSet =
-        QueryShapeSet(QueryShape::Pair.bit() | QueryShape::Batch.bit() | QueryShape::EdgeSet.bit());
-
-    /// Only edge queries — the MC2/HAY restriction.
-    pub const EDGE_ONLY: QueryShapeSet = QueryShapeSet(QueryShape::EdgeSet.bit());
-
-    /// Builds a set from individual shapes.
-    pub fn of(shapes: &[QueryShape]) -> QueryShapeSet {
-        QueryShapeSet(shapes.iter().fold(0, |acc, s| acc | s.bit()))
-    }
-
-    /// Whether the set contains `shape`.
-    pub fn contains(self, shape: QueryShape) -> bool {
-        self.0 & shape.bit() != 0
-    }
-
-    /// Set union.
-    pub fn union(self, other: QueryShapeSet) -> QueryShapeSet {
-        QueryShapeSet(self.0 | other.0)
-    }
-
-    /// The shapes in the set, in declaration order.
-    pub fn shapes(self) -> Vec<QueryShape> {
-        QueryShape::ALL
-            .into_iter()
-            .filter(|&s| self.contains(s))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn membership_and_union() {
-        let set = QueryShapeSet::of(&[QueryShape::Pair, QueryShape::TopK]);
-        assert!(set.contains(QueryShape::Pair));
-        assert!(set.contains(QueryShape::TopK));
-        assert!(!set.contains(QueryShape::EdgeSet));
-        let both = set.union(QueryShapeSet::EDGE_ONLY);
-        assert!(both.contains(QueryShape::EdgeSet));
-        assert_eq!(both.shapes().len(), 3);
-    }
-
-    #[test]
-    fn named_sets() {
-        assert_eq!(QueryShapeSet::ALL.shapes().len(), 6);
-        assert_eq!(QueryShapeSet::EMPTY.shapes().len(), 0);
-        assert!(QueryShapeSet::PAIRWISE.contains(QueryShape::EdgeSet));
-        assert!(!QueryShapeSet::PAIRWISE.contains(QueryShape::SingleSource));
-        assert!(QueryShapeSet::EDGE_ONLY.contains(QueryShape::EdgeSet));
-        assert!(!QueryShapeSet::EDGE_ONLY.contains(QueryShape::Pair));
-    }
 
     #[test]
     fn display_names_are_stable() {
@@ -155,14 +63,15 @@ mod tests {
 
     #[test]
     fn pairwise_predicate_matches_the_pairwise_set() {
-        for shape in QueryShapeSet::ALL.shapes() {
-            assert_eq!(
-                shape.is_pairwise(),
-                QueryShapeSet::PAIRWISE.contains(shape),
-                "{shape}"
-            );
+        for shape in [QueryShape::Pair, QueryShape::Batch, QueryShape::EdgeSet] {
+            assert!(shape.is_pairwise(), "{shape}");
         }
-        assert!(QueryShape::Pair.is_pairwise());
-        assert!(!QueryShape::Diagonal.is_pairwise());
+        for shape in [
+            QueryShape::SingleSource,
+            QueryShape::Diagonal,
+            QueryShape::TopK,
+        ] {
+            assert!(!shape.is_pairwise(), "{shape}");
+        }
     }
 }

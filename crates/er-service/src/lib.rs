@@ -6,7 +6,8 @@
 //! method per `(ε, workload)` point. This crate turns that observation into
 //! an API: callers submit typed requests to one front door, the
 //! [`ResistanceService`], and a [`Planner`] routes each request to the
-//! cheapest capable [`Backend`].
+//! cheapest [`BackendChoice`] that [answers](BackendChoice::answers) its
+//! shape.
 //!
 //! * [`Query`] — what is asked: `Pair`, `Batch`, `SingleSource`, `Diagonal`,
 //!   `EdgeSet` or `TopK`.
@@ -61,7 +62,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backend;
+mod backend;
 pub mod capability;
 pub mod dynamic;
 pub mod error;
@@ -72,8 +73,7 @@ pub mod server;
 pub mod service;
 pub mod session;
 
-pub use backend::{Backend, EstimatorBackend, HayBatchBackend, Plan, PlanItem, StreamPlan};
-pub use capability::{QueryShape, QueryShapeSet};
+pub use capability::QueryShape;
 pub use dynamic::{DynamicResistanceService, ServiceEpoch};
 pub use error::ServiceError;
 pub use planner::{

@@ -45,7 +45,7 @@
 //! documented clamped accessor), callers routing without a preprocessed
 //! context use [`GraphSignals::of_nodes`] and get the node-count fallback.
 
-use crate::capability::{QueryShape, QueryShapeSet};
+use crate::capability::QueryShape;
 use crate::query::{Accuracy, Query};
 use er_graph::NodeId;
 use std::collections::HashMap;
@@ -84,7 +84,7 @@ pub enum BackendChoice {
 }
 
 impl BackendChoice {
-    /// Short stable display name (matches `Backend::name`).
+    /// Short stable display name, reported as [`Response::backend`](crate::Response::backend).
     pub fn name(&self) -> &'static str {
         match self {
             BackendChoice::Geer => "GEER",
@@ -113,15 +113,15 @@ impl BackendChoice {
         )
     }
 
-    /// The query shapes this backend can answer — the static policy behind
-    /// each instance's [`Backend::capabilities`](crate::Backend::capabilities),
-    /// so the service can reject a mismatched request before paying any
-    /// backend construction cost.
-    pub fn capabilities(&self) -> QueryShapeSet {
+    /// Whether this backend can answer queries of `shape`: INDEX answers
+    /// every shape, MC2 and HAY only edge sets, and every other backend the
+    /// pair shapes. The service rejects a mismatched override before paying
+    /// any backend construction cost.
+    pub fn answers(&self, shape: QueryShape) -> bool {
         match self {
-            BackendChoice::Mc2 | BackendChoice::Hay => QueryShapeSet::EDGE_ONLY,
-            BackendChoice::Index => QueryShapeSet::ALL,
-            _ => QueryShapeSet::PAIRWISE,
+            BackendChoice::Index => true,
+            BackendChoice::Mc2 | BackendChoice::Hay => shape == QueryShape::EdgeSet,
+            _ => shape.is_pairwise(),
         }
     }
 

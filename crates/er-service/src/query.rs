@@ -30,7 +30,7 @@ use er_graph::NodeId;
 /// let profile = service.submit(&Query::single_source(0).into()).unwrap();
 /// assert_eq!(profile.values.len(), graph.num_nodes());
 /// ```
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Query {
     /// One ε-approximate PER query for `(s, t)`.
     Pair {
@@ -169,6 +169,16 @@ impl Accuracy {
     /// An ε target with the paper's default δ = 0.01.
     pub fn epsilon(eps: f64) -> Accuracy {
         Accuracy::Epsilon { eps, delta: 0.01 }
+    }
+
+    /// A hashable key for this accuracy, with its floats bit-cast — what
+    /// cache classes, coalescing classes and request fingerprints hash.
+    pub(crate) fn key(self) -> (u8, u64, u64) {
+        match self {
+            Accuracy::Epsilon { eps, delta } => (0, eps.to_bits(), delta.to_bits()),
+            Accuracy::WalkBudget(budget) => (1, budget, 0),
+            Accuracy::Exact => (2, 0, 0),
+        }
     }
 }
 

@@ -41,9 +41,9 @@
 //! coalesced, deduped, cached or served alone — pinned by `tests/server.rs`.
 
 use crate::error::ServiceError;
-use crate::query::{Accuracy, Query, Request};
+use crate::query::Request;
 use crate::response::Response;
-use crate::service::ResistanceService;
+use crate::service::{CacheClass, ResistanceService};
 use crate::session::{ResponseSlot, SubmitOptions, Ticket};
 use er_walks::par::resolve_threads;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -228,9 +228,7 @@ fn try_attach_running(
 /// correctness.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 struct CoalesceKey {
-    /// `Accuracy` with its floats bit-cast, so the key is hashable.
-    accuracy: (u8, u64, u64),
-    backend: Option<crate::BackendChoice>,
+    class: CacheClass,
     choice: crate::BackendChoice,
 }
 
@@ -239,14 +237,8 @@ impl CoalesceKey {
         if !request.query.shape().is_pairwise() {
             return None;
         }
-        let accuracy = match request.accuracy {
-            Accuracy::Epsilon { eps, delta } => (0u8, eps.to_bits(), delta.to_bits()),
-            Accuracy::WalkBudget(budget) => (1u8, budget, 0),
-            Accuracy::Exact => (2u8, 0, 0),
-        };
         Some(CoalesceKey {
-            accuracy,
-            backend: request.backend,
+            class: CacheClass::of(request.accuracy, request.backend),
             choice: service.plan(request),
         })
     }
@@ -324,44 +316,7 @@ fn fingerprint(request: &Request) -> u64 {
     use std::collections::hash_map::DefaultHasher;
     use std::hash::{Hash, Hasher};
     let mut h = DefaultHasher::new();
-    match &request.query {
-        Query::Pair { s, t } => {
-            0u8.hash(&mut h);
-            s.hash(&mut h);
-            t.hash(&mut h);
-        }
-        Query::Batch { pairs } => {
-            1u8.hash(&mut h);
-            pairs.hash(&mut h);
-        }
-        Query::SingleSource { source } => {
-            2u8.hash(&mut h);
-            source.hash(&mut h);
-        }
-        Query::Diagonal => 3u8.hash(&mut h),
-        Query::EdgeSet { edges } => {
-            4u8.hash(&mut h);
-            edges.hash(&mut h);
-        }
-        Query::TopK { source, k } => {
-            5u8.hash(&mut h);
-            source.hash(&mut h);
-            k.hash(&mut h);
-        }
-    }
-    match request.accuracy {
-        Accuracy::Epsilon { eps, delta } => {
-            0u8.hash(&mut h);
-            eps.to_bits().hash(&mut h);
-            delta.to_bits().hash(&mut h);
-        }
-        Accuracy::WalkBudget(b) => {
-            1u8.hash(&mut h);
-            b.hash(&mut h);
-        }
-        Accuracy::Exact => 2u8.hash(&mut h),
-    }
-    request.backend.hash(&mut h);
+    (&request.query, request.accuracy.key(), request.backend).hash(&mut h);
     h.finish()
 }
 
@@ -819,6 +774,7 @@ fn worker_loop(shared: &ServerShared) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::{Accuracy, Query};
     use crate::session::Priority;
     use er_graph::generators;
     use std::time::Duration;

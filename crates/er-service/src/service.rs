@@ -13,18 +13,26 @@
 //! * a registry of memoized heavy backends (index, landmark, dense-exact,
 //!   RP sketch) built lazily behind per-backend locks.
 //!
+//! [`submit`] matches the planned [`BackendChoice`] and calls that
+//! estimator directly; [`BackendChoice::answers`] is the one table of which
+//! shapes each backend answers.
+//!
 //! [`submit`]: ResistanceService::submit
 
-use crate::backend::{Backend, EstimatorBackend, HayBatchBackend, Plan, PlanItem, StreamPlan};
+use crate::backend::{forked, hay};
 use crate::capability::QueryShape;
 use crate::error::ServiceError;
 use crate::planner::{BackendChoice, GraphSignals, Planner, PlannerConfig, PlannerState};
 use crate::query::{Accuracy, Query, Request};
 use crate::response::Response;
-use er_core::{Amc, ApproxConfig, Exact, GeerBatch, GraphContext, Mc, Mc2, Rp, Smm, Tp, Tpc};
+use er_core::{
+    Amc, ApproxConfig, CostBreakdown, Exact, GeerBatch, GeerBatchRun, GraphContext, Mc, Mc2, Rp,
+    Smm, Tp, Tpc,
+};
 use er_graph::{IntoGraphArc, NodeId};
 use er_index::{ErIndex, LandmarkIndex, LandmarkSelection, QueryCache};
 use std::collections::HashMap;
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, RwLock};
 
 /// Cache entries are only reused for requests in the same class: the same
@@ -36,40 +44,16 @@ use std::sync::{Arc, Mutex, RwLock};
 /// request of the same backend-override class, because an exact value
 /// satisfies every ε target (see [`ResistanceService::submit`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-struct CacheClass {
-    accuracy: AccuracyClass,
+pub(crate) struct CacheClass {
+    accuracy: (u8, u64, u64),
     backend: Option<BackendChoice>,
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-enum AccuracyClass {
-    Exact,
-    Epsilon { eps_bits: u64, delta_bits: u64 },
-    Budget(u64),
-}
-
 impl CacheClass {
-    fn of(accuracy: Accuracy, backend: Option<BackendChoice>) -> CacheClass {
-        let accuracy = match accuracy {
-            Accuracy::Exact => AccuracyClass::Exact,
-            Accuracy::Epsilon { eps, delta } => AccuracyClass::Epsilon {
-                eps_bits: eps.to_bits(),
-                delta_bits: delta.to_bits(),
-            },
-            Accuracy::WalkBudget(b) => AccuracyClass::Budget(b),
-        };
-        CacheClass { accuracy, backend }
-    }
-
-    /// The `Exact`-accuracy class with the same backend override — the only
-    /// class whose entries may legally serve this one.
-    fn exact_sibling(&self) -> Option<CacheClass> {
-        match self.accuracy {
-            AccuracyClass::Epsilon { .. } => Some(CacheClass {
-                accuracy: AccuracyClass::Exact,
-                backend: self.backend,
-            }),
-            _ => None,
+    pub(crate) fn of(accuracy: Accuracy, backend: Option<BackendChoice>) -> CacheClass {
+        CacheClass {
+            accuracy: accuracy.key(),
+            backend,
         }
     }
 }
@@ -168,13 +152,45 @@ struct BackendRegistry {
     /// [`planner_state`]: ResistanceService::planner_state
     index_ready: std::sync::atomic::AtomicBool,
     landmark: Mutex<Option<Arc<LandmarkIndex>>>,
-    exact_dense: Mutex<Option<Arc<EstimatorBackend<Exact>>>>,
+    exact_dense: Mutex<Option<Arc<Exact>>>,
     /// RP's sketch is ε/δ-specific, so it is memoized per operating point.
-    rp: Mutex<Option<(RpKey, Arc<EstimatorBackend<Rp>>)>>,
+    rp: Mutex<Option<(RpKey, Arc<Rp>)>>,
+}
+
+/// The value memoized in `slot`, built by `build` on first use. The slot's
+/// lock is held across the build, so concurrent requests wait for one build
+/// instead of duplicating it.
+fn memoized<T>(
+    slot: &Mutex<Option<Arc<T>>>,
+    build: impl FnOnce() -> Result<T, ServiceError>,
+) -> Result<Arc<T>, ServiceError> {
+    let mut slot = slot.lock().expect("backend slot poisoned");
+    if slot.is_none() {
+        *slot = Some(Arc::new(build()?));
+    }
+    Ok(slot.clone().expect("memoized above"))
+}
+
+/// `proto` with the request's walk budget applied, if it carries one.
+fn budgeted<E>(proto: E, budget: Option<u64>, with_budget: fn(E, u64) -> E) -> E {
+    match budget {
+        Some(b) => with_budget(proto, b),
+        None => proto,
+    }
+}
+
+/// The index's unit of work is the Laplacian solve: the solves observed
+/// since `before` (cached columns cost none; under concurrent requests the
+/// attribution is approximate).
+fn solves_since(index: &ErIndex, before: u64) -> CostBreakdown {
+    CostBreakdown {
+        solver_iterations: index.total_solves() - before,
+        ..CostBreakdown::default()
+    }
 }
 
 /// Per-request bookkeeping while a (possibly coalesced) group of pair-shaped
-/// requests runs through the cache tier and one shared backend plan.
+/// requests runs through the cache tier and one shared backend call.
 struct PendingPairs {
     values: Vec<f64>,
     resolve: Vec<(usize, usize)>,
@@ -191,9 +207,9 @@ struct PendingPairs {
 ///
 /// Callers describe *what* they want — a typed [`Query`] plus an
 /// [`Accuracy`] target — and the service plans *how*: a capability check, a
-/// cache-tier pass, a routing decision by the [`Planner`], and a batch-native
-/// [`Backend`] answer built on per-stream estimator forks (bit-identical at
-/// any thread count for a fixed seed).
+/// cache-tier pass, a routing decision by the [`Planner`], and one
+/// batch-native call into the chosen estimator on content-derived RNG
+/// streams (bit-identical at any thread count for a fixed seed).
 ///
 /// The service is `Send + Sync` and [`submit`](Self::submit) takes `&self`:
 /// share it behind an `Arc` (or spawn a
@@ -292,9 +308,7 @@ impl ResistanceService {
             "prebuilt index must cover the service's node set"
         );
         *self.backends.index.lock().expect("index slot poisoned") = Some(index);
-        self.backends
-            .index_ready
-            .store(true, std::sync::atomic::Ordering::Release);
+        self.backends.index_ready.store(true, Ordering::Release);
         self
     }
 
@@ -359,10 +373,7 @@ impl ResistanceService {
     /// in-progress index build.
     pub fn planner_state(&self) -> PlannerState {
         PlannerState {
-            index_ready: self
-                .backends
-                .index_ready
-                .load(std::sync::atomic::Ordering::Acquire),
+            index_ready: self.backends.index_ready.load(Ordering::Acquire),
         }
     }
 
@@ -425,19 +436,15 @@ impl ResistanceService {
     /// (see [`BackendChoice::is_exact`]) is rejected with
     /// [`ServiceError::InvalidRequest`].
     pub fn submit(&self, request: &Request) -> Result<Response, ServiceError> {
-        match &request.query {
-            Query::Pair { .. } | Query::Batch { .. } | Query::EdgeSet { .. } => {
-                let choice = self.resolve(request)?;
-                let mut responses = self.submit_pairs_planned(&[request], choice)?;
-                Ok(responses.pop().expect("one response per request"))
-            }
-            Query::SingleSource { source } => self.submit_source(request, *source, 0),
-            Query::TopK { source, k } => self.submit_source(request, *source, *k),
-            Query::Diagonal => self.submit_diagonal(request),
+        if !request.query.shape().is_pairwise() {
+            return self.submit_index(request);
         }
+        let choice = self.resolve(request)?;
+        let mut responses = self.submit_pairs_planned(&[request], choice)?;
+        Ok(responses.pop().expect("one response per request"))
     }
 
-    /// Answers several pair-shaped requests as **one backend plan** — the
+    /// Answers several pair-shaped requests as **one backend call** — the
     /// cross-request coalescing primitive behind the
     /// [`ResistanceServer`](crate::ResistanceServer). All requests must share
     /// one accuracy target, one backend override and one planned backend
@@ -445,7 +452,7 @@ impl ResistanceService {
     /// with [`ServiceError::InvalidRequest`].
     ///
     /// Coalescing changes *work*, never *values*: distinct pairs across the
-    /// group are deduplicated into one plan, sampling backends amortize one
+    /// group are deduplicated into one call, sampling backends amortize one
     /// parallel fan-out (and HAY one spanning-tree pool) over all of them,
     /// and each returned response carries values bit-identical to what its
     /// request would have computed alone. The reported
@@ -498,9 +505,9 @@ impl ResistanceService {
 
     /// The shared submit path for pair-shaped requests: validation, the
     /// cache-tier pass (per-class shard plus the legal `Exact` → ε
-    /// cross-class probe), cross-request dedup into one plan on
-    /// content-derived streams, one backend call, and per-request response
-    /// assembly.
+    /// cross-class probe), cross-request dedup into one list of distinct
+    /// pairs on content-derived streams, one backend call, and per-request
+    /// response assembly.
     fn submit_pairs_planned(
         &self,
         requests: &[&Request],
@@ -524,7 +531,7 @@ impl ResistanceService {
                     });
                 }
             }
-            if !choice.capabilities().contains(shape) {
+            if !choice.answers(shape) {
                 return Err(ServiceError::UnsupportedShape {
                     backend: choice.name(),
                     shape,
@@ -534,18 +541,22 @@ impl ResistanceService {
 
         // Cache tier: trivial self-pairs short-circuit, repeats (within a
         // request, across coalesced requests, and across earlier requests in
-        // the same class) are hits, distinct misses become plan items. Each
+        // the same class) are hits, distinct misses become backend pairs. Each
         // miss runs on the RNG stream derived from its pair content, so the
         // answer is independent of cache state, group composition and thread
         // count.
-        let class = CacheClass::of(accuracy, first.backend);
-        let shard = self.caches.shard(class);
-        let exact_shard = class
-            .exact_sibling()
-            .and_then(|sibling| self.caches.existing_shard(sibling));
+        let shard = self.caches.shard(CacheClass::of(accuracy, first.backend));
+        // The `Exact` class with the same backend override is the only class
+        // whose entries may legally serve an ε request.
+        let exact_shard = match accuracy {
+            Accuracy::Epsilon { .. } => self
+                .caches
+                .existing_shard(CacheClass::of(Accuracy::Exact, first.backend)),
+            _ => None,
+        };
         let mut pending: Vec<PendingPairs> = Vec::with_capacity(requests.len());
         let mut miss_index: HashMap<(NodeId, NodeId), usize> = HashMap::new();
-        let mut items: Vec<PlanItem> = Vec::new();
+        let mut items: Vec<(NodeId, NodeId)> = Vec::new();
         let mut streams: Vec<u64> = Vec::new();
         {
             let mut cache = shard.lock().expect("cache shard poisoned");
@@ -601,7 +612,7 @@ impl ResistanceService {
                             // the plan first — without this, cross-request
                             // dedup of (s, t) with a later (t, s) would make
                             // the answer depend on arrival order.
-                            items.push(PlanItem { s: key.0, t: key.1 });
+                            items.push(key);
                             streams.push(pair_stream(s, t));
                             p.owned_items += 1;
                             p.owned_slots.push(slot);
@@ -621,8 +632,8 @@ impl ResistanceService {
                     values: p.values,
                     nodes: Vec::new(),
                     backend: choice.name(),
-                    cost: er_core::CostBreakdown::default(),
-                    shared_cost: er_core::CostBreakdown::default(),
+                    cost: CostBreakdown::default(),
+                    shared_cost: CostBreakdown::default(),
                     item_costs: Vec::new(),
                     cache_hits: p.cache_hits,
                     backend_calls: 0,
@@ -631,30 +642,16 @@ impl ResistanceService {
                 .collect());
         }
 
-        // One shape for the merged plan: edge-set groups stay edge-sets (the
-        // HAY/MC2 capability), anything else is a batch.
-        let plan_shape = if requests.len() == 1 {
-            first.query.shape()
-        } else if requests
-            .iter()
-            .all(|r| r.query.shape() == QueryShape::EdgeSet)
-        {
-            QueryShape::EdgeSet
-        } else {
-            QueryShape::Batch
-        };
-        let plan = Plan::for_items(plan_shape, accuracy, items);
-        let stream_plan = StreamPlan {
-            streams,
-            threads: self.core.config.threads,
-        };
-        let backend = self.backend_instance(choice, accuracy)?;
-        let answer = backend.answer(&plan, &stream_plan)?;
+        let answer = self.answer_pairs(choice, accuracy, &items, &streams)?;
         {
             let mut cache = shard.lock().expect("cache shard poisoned");
-            for (item, &value) in plan.items.iter().zip(&answer.values) {
-                cache.insert(item.s, item.t, value);
+            for (&(s, t), &value) in items.iter().zip(&answer.values) {
+                cache.insert(s, t, value);
             }
+        }
+        let mut cost = answer.shared_cost;
+        for item in &answer.item_costs {
+            cost += *item;
         }
         Ok(pending
             .into_iter()
@@ -669,16 +666,16 @@ impl ResistanceService {
                 // `shared_cost` + the member's owned `item_costs` let
                 // metrics aggregate a coalesced group without overstating
                 // work: Σ members' owned + one shared = the true total.
-                let item_costs: Vec<er_core::CostBreakdown> = p
+                let item_costs = p
                     .owned_slots
                     .iter()
-                    .map(|&slot| answer.item_costs.get(slot).copied().unwrap_or_default())
+                    .map(|&slot| answer.item_costs[slot])
                     .collect();
                 Response {
                     values,
                     nodes: Vec::new(),
                     backend: choice.name(),
-                    cost: answer.cost,
+                    cost,
                     shared_cost: answer.shared_cost,
                     item_costs,
                     cache_hits: p.cache_hits,
@@ -689,57 +686,45 @@ impl ResistanceService {
             .collect())
     }
 
-    fn submit_source(
-        &self,
-        request: &Request,
-        source: NodeId,
-        k: usize,
-    ) -> Result<Response, ServiceError> {
-        self.core.context.check_pair(source, source)?;
+    /// Answers a source-shaped query (`SingleSource`, `TopK`, `Diagonal`)
+    /// from the INDEX tier, the only backend that answers those shapes.
+    fn submit_index(&self, request: &Request) -> Result<Response, ServiceError> {
+        if let Query::SingleSource { source } | Query::TopK { source, .. } = request.query {
+            self.core.context.check_pair(source, source)?;
+        }
         let shape = request.query.shape();
         let choice = self.resolve(request)?;
-        if !choice.capabilities().contains(shape) {
+        if !choice.answers(shape) {
             return Err(ServiceError::UnsupportedShape {
                 backend: choice.name(),
                 shape,
             });
         }
-        let backend = self.backend_instance(choice, request.accuracy)?;
-        let plan = Plan {
-            shape,
-            accuracy: request.accuracy,
-            items: vec![],
-            source: Some(source),
-            k,
+        debug_assert_eq!(choice, BackendChoice::Index);
+        let index = self.index()?;
+        let solves_before = index.total_solves();
+        let mut nodes = Vec::new();
+        let values = match request.query {
+            Query::SingleSource { source } => index.single_source(source)?,
+            Query::TopK { source, k } => {
+                let scored = index.nearest(source, k)?;
+                nodes = scored.iter().map(|&(v, _)| v).collect();
+                scored.into_iter().map(|(_, r)| r).collect()
+            }
+            _ => index.diagonal().to_vec(),
         };
-        let streams = StreamPlan {
-            streams: vec![],
-            threads: self.core.config.threads,
-        };
-        backend.answer(&plan, &streams)
-    }
-
-    fn submit_diagonal(&self, request: &Request) -> Result<Response, ServiceError> {
-        let choice = self.resolve(request)?;
-        if !choice.capabilities().contains(QueryShape::Diagonal) {
-            return Err(ServiceError::UnsupportedShape {
-                backend: choice.name(),
-                shape: QueryShape::Diagonal,
-            });
-        }
-        let backend = self.backend_instance(choice, request.accuracy)?;
-        let plan = Plan {
-            shape: QueryShape::Diagonal,
-            accuracy: request.accuracy,
-            items: vec![],
-            source: None,
-            k: 0,
-        };
-        let streams = StreamPlan {
-            streams: vec![],
-            threads: self.core.config.threads,
-        };
-        backend.answer(&plan, &streams)
+        let cost = solves_since(&index, solves_before);
+        Ok(Response {
+            values,
+            nodes,
+            backend: choice.name(),
+            cost,
+            shared_cost: cost,
+            item_costs: Vec::new(),
+            cache_hits: 0,
+            backend_calls: 0,
+            trivial_queries: 0,
+        })
     }
 
     /// The estimator configuration a backend prototype should run with under
@@ -755,150 +740,136 @@ impl ResistanceService {
         }
     }
 
-    /// Builds (or fetches the memoized instance of) the backend for a
-    /// routing choice. The index, landmark, dense-exact and RP backends
-    /// carry expensive preprocessing and are memoized behind per-slot locks
-    /// (concurrent requests wait for one build instead of duplicating it);
-    /// the remaining estimator prototypes are free to construct and are
-    /// rebuilt per request so they pick up the request's accuracy target.
-    fn backend_instance(
+    /// Answers the distinct pairs of one call with the chosen backend;
+    /// `streams[i]` is the content-derived RNG stream of `pairs[i]`. The
+    /// sampling prototypes are free to construct and are rebuilt per call so
+    /// they pick up the request's accuracy target; the index, landmark,
+    /// dense-exact and RP backends carry expensive preprocessing and are
+    /// memoized.
+    fn answer_pairs(
         &self,
         choice: BackendChoice,
         accuracy: Accuracy,
-    ) -> Result<Arc<dyn Backend>, ServiceError> {
-        use crate::capability::QueryShapeSet;
+        pairs: &[(NodeId, NodeId)],
+        streams: &[u64],
+    ) -> Result<GeerBatchRun, ServiceError> {
+        let ctx = &self.core.context;
         let cfg = self.effective_config(accuracy);
+        let threads = self.core.config.threads;
         let budget = match accuracy {
             Accuracy::WalkBudget(b) => Some(b),
             _ => None,
         };
-        let ctx = &self.core.context;
         Ok(match choice {
+            // GEER is batch-native: one shared SMM frontier per distinct
+            // endpoint, bit-identical to per-pair forks.
             BackendChoice::Geer => {
-                // GEER is batch-native: one shared SMM frontier per distinct
-                // endpoint of the plan, bit-identical to per-pair forks.
-                let mut batch = GeerBatch::new(ctx, cfg);
-                if let Some(b) = budget {
-                    batch = batch.with_walk_budget(b);
-                }
-                Arc::new(batch)
+                let geer = GeerBatch::new(ctx, cfg);
+                budgeted(geer, budget, GeerBatch::with_walk_budget).run(pairs, streams, threads)?
             }
             BackendChoice::Amc => {
-                let mut proto = Amc::new(ctx, cfg);
-                if let Some(b) = budget {
-                    proto = proto.with_walk_budget(b);
-                }
-                Arc::new(EstimatorBackend::new(proto, "AMC", QueryShapeSet::PAIRWISE))
+                let amc = budgeted(Amc::new(ctx, cfg), budget, Amc::with_walk_budget);
+                forked(&amc, pairs, streams, threads)?
             }
-            BackendChoice::Smm => Arc::new(EstimatorBackend::new(
-                Smm::new(ctx, cfg),
-                "SMM",
-                QueryShapeSet::PAIRWISE,
-            )),
+            BackendChoice::Smm => forked(&Smm::new(ctx, cfg), pairs, streams, threads)?,
             BackendChoice::Tp => {
-                let mut proto = Tp::new(ctx, cfg);
-                if let Some(b) = budget {
-                    proto = proto.with_walk_budget(b);
-                }
-                Arc::new(EstimatorBackend::new(proto, "TP", QueryShapeSet::PAIRWISE))
+                let tp = budgeted(Tp::new(ctx, cfg), budget, Tp::with_walk_budget);
+                forked(&tp, pairs, streams, threads)?
             }
             BackendChoice::Tpc => {
-                let mut proto = Tpc::new(ctx, cfg);
-                if let Some(b) = budget {
-                    proto = proto.with_walk_budget(b);
-                }
-                Arc::new(EstimatorBackend::new(proto, "TPC", QueryShapeSet::PAIRWISE))
+                let tpc = budgeted(Tpc::new(ctx, cfg), budget, Tpc::with_walk_budget);
+                forked(&tpc, pairs, streams, threads)?
             }
-            BackendChoice::Rp => {
-                // RP pays its preprocessing (a multi-row sketch of Laplacian
-                // solves) up front; rebuild only when the operating point
-                // changes.
-                let key = (cfg.epsilon.to_bits(), cfg.delta.to_bits());
-                let mut slot = self.backends.rp.lock().expect("rp slot poisoned");
-                match slot.as_ref() {
-                    Some((k, backend)) if *k == key => backend.clone(),
-                    _ => {
-                        let backend = Arc::new(EstimatorBackend::new(
-                            Rp::with_entry_budget(ctx, cfg, 10_000_000)?,
-                            "RP",
-                            QueryShapeSet::PAIRWISE,
-                        ));
-                        *slot = Some((key, backend.clone()));
-                        backend
-                    }
-                }
-            }
+            BackendChoice::Rp => forked(self.rp(cfg)?.as_ref(), pairs, streams, threads)?,
             BackendChoice::Mc => {
-                let mut proto = Mc::new(ctx, cfg);
-                if let Some(b) = budget {
-                    proto = proto.with_walk_budget(b);
-                }
-                Arc::new(EstimatorBackend::new(proto, "MC", QueryShapeSet::PAIRWISE))
+                let mc = budgeted(Mc::new(ctx, cfg), budget, Mc::with_walk_budget);
+                forked(&mc, pairs, streams, threads)?
             }
             BackendChoice::Mc2 => {
-                let mut proto = Mc2::new(ctx, cfg);
-                if let Some(b) = budget {
-                    proto = proto.with_walk_budget(b);
-                }
-                Arc::new(EstimatorBackend::new(
-                    proto,
-                    "MC2",
-                    QueryShapeSet::EDGE_ONLY,
-                ))
+                let mc2 = budgeted(Mc2::new(ctx, cfg), budget, Mc2::with_walk_budget);
+                forked(&mc2, pairs, streams, threads)?
             }
-            BackendChoice::Hay => Arc::new(HayBatchBackend::new(ctx, cfg)),
-            BackendChoice::ExactCg => Arc::new(EstimatorBackend::new(
-                Exact::with_solver(ctx),
-                "EXACT-CG",
-                QueryShapeSet::PAIRWISE,
-            )),
+            BackendChoice::Hay => hay(ctx, cfg, accuracy, pairs, threads)?,
+            BackendChoice::ExactCg => forked(&Exact::with_solver(ctx), pairs, streams, threads)?,
             BackendChoice::ExactDense => {
-                let mut slot = self
-                    .backends
-                    .exact_dense
-                    .lock()
-                    .expect("exact-dense slot poisoned");
-                if slot.is_none() {
-                    *slot = Some(Arc::new(EstimatorBackend::new(
-                        Exact::new(ctx)?,
-                        "EXACT",
-                        QueryShapeSet::PAIRWISE,
-                    )));
-                }
-                slot.clone().expect("memoized above")
+                forked(self.exact_dense()?.as_ref(), pairs, streams, threads)?
             }
             BackendChoice::Index => {
-                let mut slot = self.backends.index.lock().expect("index slot poisoned");
-                if slot.is_none() {
-                    let index = ErIndex::build_with_threads(
-                        self.core.context.graph_arc().clone(),
-                        self.core.config.threads,
-                    )?;
-                    *slot = Some(Arc::new(index));
-                    self.backends
-                        .index_ready
-                        .store(true, std::sync::atomic::Ordering::Release);
+                let index = self.index()?;
+                let solves_before = index.total_solves();
+                let values = pairs
+                    .iter()
+                    .map(|&(s, t)| index.resistance(s, t))
+                    .collect::<Result<_, _>>()?;
+                GeerBatchRun {
+                    values,
+                    item_costs: vec![CostBreakdown::default(); pairs.len()],
+                    // Column solves are shared by every pair touching the
+                    // column (and by later calls, via the column cache).
+                    shared_cost: solves_since(&index, solves_before),
                 }
-                slot.clone().expect("memoized above")
             }
+            // Landmark bounds cost no solves and no walks: O(k) per pair.
             BackendChoice::Landmark => {
-                let mut slot = self
-                    .backends
-                    .landmark
-                    .lock()
-                    .expect("landmark slot poisoned");
-                if slot.is_none() {
-                    let index = LandmarkIndex::build(
-                        self.core.context.graph(),
-                        self.core.landmark_count,
-                        LandmarkSelection::Mixed,
-                        self.core.config.seed,
-                    )?;
-                    *slot = Some(Arc::new(index));
+                let landmarks = self.landmarks()?;
+                GeerBatchRun {
+                    values: pairs
+                        .iter()
+                        .map(|&(s, t)| landmarks.estimate(s, t))
+                        .collect::<Result<_, _>>()?,
+                    item_costs: vec![CostBreakdown::default(); pairs.len()],
+                    shared_cost: CostBreakdown::default(),
                 }
-                slot.clone().expect("memoized above")
             }
         })
+    }
+
+    /// The INDEX tier, built on first use (one CG solve per node for the
+    /// diagonal). `index_ready` flips while the slot lock is still held, so
+    /// a request the planner then routes to INDEX waits for this build.
+    fn index(&self) -> Result<Arc<ErIndex>, ServiceError> {
+        memoized(&self.backends.index, || {
+            let index = ErIndex::build_with_threads(
+                self.core.context.graph_arc().clone(),
+                self.core.config.threads,
+            )?;
+            self.backends.index_ready.store(true, Ordering::Release);
+            Ok(index)
+        })
+    }
+
+    /// The LANDMARK tier, built on first use.
+    fn landmarks(&self) -> Result<Arc<LandmarkIndex>, ServiceError> {
+        memoized(&self.backends.landmark, || {
+            Ok(LandmarkIndex::build(
+                self.core.context.graph(),
+                self.core.landmark_count,
+                LandmarkSelection::Mixed,
+                self.core.config.seed,
+            )?)
+        })
+    }
+
+    /// The dense pseudo-inverse behind EXACT, built on first use.
+    fn exact_dense(&self) -> Result<Arc<Exact>, ServiceError> {
+        memoized(&self.backends.exact_dense, || {
+            Ok(Exact::new(&self.core.context)?)
+        })
+    }
+
+    /// RP's sketch of Laplacian solves for `cfg`'s operating point, rebuilt
+    /// only when the operating point changes.
+    fn rp(&self, cfg: ApproxConfig) -> Result<Arc<Rp>, ServiceError> {
+        let key = (cfg.epsilon.to_bits(), cfg.delta.to_bits());
+        let mut slot = self.backends.rp.lock().expect("rp slot poisoned");
+        match slot.as_ref() {
+            Some((k, rp)) if *k == key => Ok(rp.clone()),
+            _ => {
+                let rp = Arc::new(Rp::with_entry_budget(&self.core.context, cfg, 10_000_000)?);
+                *slot = Some((key, rp.clone()));
+                Ok(rp)
+            }
+        }
     }
 
     /// Hit/miss statistics of the cache tier, summed over accuracy classes:
@@ -925,7 +896,7 @@ impl ResistanceService {
     /// Hint that upcoming requests are repeated-source workloads: builds the
     /// index tier now so the planner can route to it immediately.
     pub fn warm_index(&self) -> Result<(), ServiceError> {
-        self.backend_instance(BackendChoice::Index, Accuracy::Exact)?;
+        self.index()?;
         Ok(())
     }
 }
@@ -1252,10 +1223,17 @@ mod tests {
     }
 
     #[test]
-    fn static_capabilities_match_backend_instances() {
-        // The early-rejection policy on BackendChoice must agree with what
-        // each constructed backend actually declares.
+    fn every_override_answers_exactly_the_shapes_it_declares() {
         let s = service(120);
+        let edges: Vec<_> = s.context().graph().edges().take(2).collect();
+        let queries = [
+            Query::pair(0, 60),
+            Query::batch(vec![(0, 60), (5, 90)]),
+            Query::edge_set(edges),
+            Query::single_source(5),
+            Query::top_k(5, 3),
+            Query::Diagonal,
+        ];
         for choice in [
             BackendChoice::Geer,
             BackendChoice::Amc,
@@ -1271,10 +1249,64 @@ mod tests {
             BackendChoice::Index,
             BackendChoice::Landmark,
         ] {
-            let backend = s.backend_instance(choice, Accuracy::epsilon(0.5)).unwrap();
-            assert_eq!(backend.capabilities(), choice.capabilities(), "{choice:?}");
-            assert_eq!(backend.name(), choice.name(), "{choice:?}");
+            for query in &queries {
+                let shape = query.shape();
+                let request = Request::new(query.clone())
+                    .with_accuracy(Accuracy::epsilon(0.5))
+                    .with_backend(choice);
+                match s.submit(&request) {
+                    Ok(response) => {
+                        assert!(choice.answers(shape), "{choice:?} answered {shape}");
+                        assert_eq!(response.backend, choice.name());
+                    }
+                    Err(ServiceError::UnsupportedShape {
+                        backend,
+                        shape: refused,
+                    }) => {
+                        assert!(!choice.answers(shape), "{choice:?} refused {shape}");
+                        assert_eq!((backend, refused), (choice.name(), shape));
+                    }
+                    Err(other) => panic!("{choice:?} on {shape}: {other}"),
+                }
+            }
         }
+    }
+
+    #[test]
+    fn index_backend_answers_every_shape_and_agrees_with_exact() {
+        use er_core::ResistanceEstimator;
+        let s = service(120);
+        let n = s.context().graph().num_nodes();
+        let index = |query| {
+            s.submit(
+                &Request::new(query)
+                    .with_accuracy(Accuracy::Exact)
+                    .with_backend(BackendChoice::Index),
+            )
+            .unwrap()
+        };
+        let direct = Exact::with_solver(s.context())
+            .estimate(5, 40)
+            .unwrap()
+            .value;
+
+        let row = index(Query::single_source(5));
+        assert_eq!(row.values.len(), n);
+        assert_eq!(row.values[5], 0.0);
+        assert!((row.values[40] - direct).abs() < 1e-6);
+
+        let diag = index(Query::Diagonal);
+        assert_eq!(diag.values.len(), n);
+        assert!(diag.values.iter().all(|&d| d > 0.0));
+
+        let top = index(Query::top_k(5, 3));
+        assert_eq!(top.nodes.len(), 3);
+        assert_eq!(top.values.len(), 3);
+        assert!(top.values.windows(2).all(|w| w[0] <= w[1]));
+
+        let pair = index(Query::pair(5, 40));
+        assert!((pair.value() - direct).abs() < 1e-6);
+        assert!(s.index_backend().unwrap().total_solves() > 0);
     }
 
     #[test]

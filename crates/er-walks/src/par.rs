@@ -185,76 +185,6 @@ where
     total
 }
 
-/// [`par_fold_indexed`] for **commutative** accumulators (integer counts,
-/// histograms, hit tallies): one accumulator per worker instead of one per
-/// chunk, merged in whatever order the workers finish.
-///
-/// Per-task RNG streams are derived exactly as in [`par_fold_indexed`], so
-/// the multiset of task results is the same; only the merge order varies.
-/// The caller must guarantee `merge` is commutative and associative (true for
-/// any field-wise integer addition), in which case the output is still
-/// bit-identical at any thread count. Use this when the accumulator is large
-/// (e.g. a per-node count vector) and a per-chunk copy would dominate the
-/// sampling work; use [`par_fold_indexed`] for floating-point accumulation,
-/// where merge order changes the rounding. For node/edge tallies prefer
-/// [`crate::kernel::par_tally`], which additionally reuses epoch-stamped
-/// sparse scratch buffers instead of zeroing dense vectors.
-pub fn par_fold_commutative<A, N, T, M>(
-    n: u64,
-    seed: u64,
-    threads: usize,
-    new_acc: N,
-    task: T,
-    mut merge: M,
-) -> A
-where
-    A: Send,
-    N: Fn() -> A + Sync,
-    T: Fn(u64, &mut StreamRng, &mut A) + Sync,
-    M: FnMut(&mut A, A),
-{
-    let mut total = new_acc();
-    if n == 0 {
-        return total;
-    }
-    let chunks = n.div_ceil(CHUNK);
-    let workers = resolve_threads(threads).min(chunks as usize);
-    if workers <= 1 {
-        for i in 0..n {
-            let mut rng = stream_rng(seed, i);
-            task(i, &mut rng, &mut total);
-        }
-        return total;
-    }
-
-    let next = AtomicU64::new(0);
-    let results: Mutex<Vec<A>> = Mutex::new(Vec::with_capacity(workers));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut acc = new_acc();
-                loop {
-                    let c = next.fetch_add(1, Ordering::Relaxed);
-                    if c >= chunks {
-                        break;
-                    }
-                    let end = ((c + 1) * CHUNK).min(n);
-                    for i in c * CHUNK..end {
-                        let mut rng = stream_rng(seed, i);
-                        task(i, &mut rng, &mut acc);
-                    }
-                }
-                results.lock().unwrap_or_else(|e| e.into_inner()).push(acc);
-            });
-        }
-    });
-    let accs = results.into_inner().unwrap_or_else(|e| e.into_inner());
-    for acc in accs {
-        merge(&mut total, acc);
-    }
-    total
-}
-
 /// Runs `n` indexed sampling tasks and collects their results in index order
 /// (the `Vec`-producing counterpart of [`par_fold_indexed`]).
 pub fn par_map_indexed<T, F>(n: u64, seed: u64, threads: usize, task: F) -> Vec<T>

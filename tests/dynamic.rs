@@ -71,6 +71,36 @@ fn rebuild_triggered_by_resistance_exact_drops_carried_state() {
     assert_eq!(dynamic.sm_updates(), 2, "nothing carried past the rebuild");
 }
 
+/// Two services fed the same queries carry the same INDEX columns through a
+/// Sherman–Morrison update, so their post-mutation answers agree bit for
+/// bit. 70 sources overflow the 64-column cache, so this pins the eviction
+/// rule as well as the carry.
+#[test]
+fn carried_index_state_is_identical_across_runs() {
+    let g = generators::social_network_like(300, 8.0, 4).unwrap();
+    let replay = || {
+        let dynamic = DynamicResistanceService::from_graph(&g, config());
+        let mut bits = Vec::new();
+        let mut rows = || {
+            for s in 0..70 {
+                let row = dynamic
+                    .submit(&Request::new(Query::single_source(s)))
+                    .unwrap();
+                bits.extend(row.values.iter().map(|v| v.to_bits()));
+            }
+        };
+        rows();
+        assert!(dynamic.insert_edge(0, 5).unwrap());
+        rows();
+        assert!(dynamic.sm_updates() > 0, "INDEX state is carried");
+        bits
+    };
+    assert!(
+        replay() == replay(),
+        "post-mutation rows differ between runs"
+    );
+}
+
 /// Readers pinned on an old epoch keep answering bit-identically at the old
 /// version while a mutation burst lands; new admissions see the new version.
 fn epoch_swap_with_pinned_readers(threads: usize) {

@@ -10,7 +10,7 @@
 
 use er_core::{ApproxConfig, GraphContext, ResistanceEstimator};
 use er_graph::generators;
-use er_service::{Accuracy, Backend, HayBatchBackend, Plan, PlanItem, QueryShape, StreamPlan};
+use er_service::{Accuracy, Query, Request, ResistanceService};
 use er_sparsify::{EdgeScores, ScoreMethod};
 
 #[test]
@@ -54,16 +54,22 @@ fn hay_estimate_survived_the_lockstep_wilson_port() {
 #[test]
 fn hay_batch_backend_survived_the_lockstep_wilson_port() {
     let g = generators::social_network_like(300, 9.0, 0x4a).unwrap();
-    let ctx = GraphContext::preprocess(&g).unwrap();
-    let items: Vec<PlanItem> = g.edges().take(5).map(|(s, t)| PlanItem { s, t }).collect();
-    let backend = HayBatchBackend::new(&ctx, ApproxConfig::with_epsilon(0.3).reseeded(3));
-    let plan = Plan::for_items(QueryShape::EdgeSet, Accuracy::WalkBudget(40), items.clone());
+    let edges: Vec<_> = g.edges().take(5).collect();
+    // A budgeted edge set: the planner routes it to the batch-native HAY
+    // backend, one pool of 40 trees for all five edges.
+    let request = Request::new(Query::edge_set(edges)).with_accuracy(Accuracy::WalkBudget(40));
     let run = |threads: usize| {
-        backend
-            .answer(&plan, &StreamPlan::sequential(items.len(), threads))
+        let config = ApproxConfig {
+            threads,
+            ..ApproxConfig::with_epsilon(0.3).reseeded(3)
+        };
+        ResistanceService::with_config(&g, config)
+            .unwrap()
+            .submit(&request)
             .unwrap()
     };
     let resp = run(1);
+    assert_eq!(resp.backend, "HAY");
     let golden: [u64; 5] = [
         0x3fa999999999999a,
         0x3f9999999999999a,
