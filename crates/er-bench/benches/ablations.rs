@@ -195,7 +195,8 @@ fn bench_point_query_backends(c: &mut Criterion) {
     });
 
     group.bench_function("landmark_bounds_query", |b| {
-        let landmarks = LandmarkIndex::build(&graph, 8, LandmarkSelection::Mixed, 1).unwrap();
+        let index = ErIndex::build(&graph).unwrap();
+        let landmarks = LandmarkIndex::build(&index, 8, LandmarkSelection::Mixed, 1).unwrap();
         let mut i = 0;
         b.iter(|| {
             let (s, t) = pairs[i % pairs.len()];

@@ -560,6 +560,10 @@ mod tests {
         )
         .unwrap();
         assert!(budgeted.contains("backend: AMC"), "{budgeted}");
+        // Without an override a walk budget goes to GEER, which answers
+        // even a budget below AMC's first batch.
+        let planned = query(&g, &args("query 0 120 --walk-budget 300")).unwrap();
+        assert!(planned.contains("backend: GEER"), "{planned}");
         // Edge-only backends are reachable when the queried pairs are edges.
         let (s, t) = g.edges().next().unwrap();
         let hay = query(

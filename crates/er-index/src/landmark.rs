@@ -70,10 +70,13 @@ pub struct LandmarkIndex {
 }
 
 impl LandmarkIndex {
-    /// Builds an index with `num_landmarks` landmarks chosen by `selection`,
-    /// using exact per-node solves for the pseudo-inverse diagonal.
+    /// Builds an index with `num_landmarks` landmarks chosen by `selection`
+    /// on the graph of `index`, reusing its pseudo-inverse diagonal: each
+    /// landmark costs one column solve and no diagonal is rebuilt. The
+    /// landmark columns are solved on a private copy of the diagonal, so
+    /// they never enter (or evict from) `index`'s column cache.
     pub fn build(
-        graph: &Graph,
+        index: &ErIndex,
         num_landmarks: usize,
         selection: LandmarkSelection,
         seed: u64,
@@ -84,13 +87,19 @@ impl LandmarkIndex {
                 message: "must be at least 1".into(),
             });
         }
+        let graph = index.graph();
         let n = graph.num_nodes();
-        let num_landmarks = num_landmarks.min(n);
-        let landmarks = select_landmarks(graph, num_landmarks, selection, seed);
-        let index = ErIndex::build(graph)?.with_column_capacity(num_landmarks.max(1));
+        let landmarks = select_landmarks(graph, num_landmarks.min(n), selection, seed);
+        let columns = ErIndex::from_parts(
+            index.graph_arc().clone(),
+            index.diagonal().to_vec(),
+            landmarks.len(),
+            Vec::new(),
+            0,
+        );
         let mut sqrt_resistances = Vec::with_capacity(landmarks.len());
         for &l in &landmarks {
-            let profile = index.single_source(l)?;
+            let profile = columns.single_source(l)?;
             sqrt_resistances.push(profile.into_iter().map(|r| r.max(0.0).sqrt()).collect());
         }
         Ok(LandmarkIndex {
@@ -109,10 +118,11 @@ impl LandmarkIndex {
     ///
     /// ```
     /// use er_graph::generators;
-    /// use er_index::{LandmarkIndex, LandmarkSelection};
+    /// use er_index::{ErIndex, LandmarkIndex, LandmarkSelection};
     ///
     /// let g = generators::social_network_like(100, 7.0, 2).unwrap();
-    /// let built = LandmarkIndex::build(&g, 4, LandmarkSelection::Mixed, 1).unwrap();
+    /// let index = ErIndex::build(&g).unwrap();
+    /// let built = LandmarkIndex::build(&index, 4, LandmarkSelection::Mixed, 1).unwrap();
     /// let table: Vec<Vec<f64>> = (0..4)
     ///     .map(|j| (0..100).map(|v| built.sqrt_resistance(j, v)).collect())
     ///     .collect();
@@ -264,10 +274,14 @@ mod tests {
     use er_graph::generators;
     use er_linalg::LaplacianSolver;
 
+    fn landmarks(g: &Graph, k: usize, selection: LandmarkSelection, seed: u64) -> LandmarkIndex {
+        LandmarkIndex::build(&ErIndex::build(g).unwrap(), k, selection, seed).unwrap()
+    }
+
     #[test]
     fn bounds_always_contain_the_exact_value() {
         let g = generators::social_network_like(150, 8.0, 5).unwrap();
-        let index = LandmarkIndex::build(&g, 8, LandmarkSelection::Mixed, 3).unwrap();
+        let index = landmarks(&g, 8, LandmarkSelection::Mixed, 3);
         let solver = LaplacianSolver::for_ground_truth(&g);
         for &(s, t) in &[(0usize, 75usize), (10, 140), (33, 34), (7, 7)] {
             let exact = solver.effective_resistance(s, t);
@@ -285,7 +299,7 @@ mod tests {
     #[test]
     fn landmark_endpoint_queries_are_exact() {
         let g = generators::barabasi_albert(100, 3, 2).unwrap();
-        let index = LandmarkIndex::build(&g, 5, LandmarkSelection::HighestDegree, 1).unwrap();
+        let index = landmarks(&g, 5, LandmarkSelection::HighestDegree, 1);
         let solver = LaplacianSolver::for_ground_truth(&g);
         let l = index.landmarks()[0];
         let other = if l == 0 { 1 } else { 0 };
@@ -299,7 +313,7 @@ mod tests {
     #[test]
     fn sqrt_resistance_is_the_exact_landmark_profile() {
         let g = generators::social_network_like(140, 8.0, 6).unwrap();
-        let index = LandmarkIndex::build(&g, 4, LandmarkSelection::Mixed, 2).unwrap();
+        let index = landmarks(&g, 4, LandmarkSelection::Mixed, 2);
         let solver = LaplacianSolver::for_ground_truth(&g);
         for (pos, &l) in index.landmarks().iter().enumerate() {
             assert_eq!(index.sqrt_resistance(pos, l), 0.0);
@@ -311,8 +325,8 @@ mod tests {
     #[test]
     fn more_landmarks_never_loosen_bounds() {
         let g = generators::social_network_like(120, 7.0, 9).unwrap();
-        let small = LandmarkIndex::build(&g, 2, LandmarkSelection::HighestDegree, 4).unwrap();
-        let large = LandmarkIndex::build(&g, 10, LandmarkSelection::HighestDegree, 4).unwrap();
+        let small = landmarks(&g, 2, LandmarkSelection::HighestDegree, 4);
+        let large = landmarks(&g, 10, LandmarkSelection::HighestDegree, 4);
         // The first two landmarks of the high-degree selection coincide, so the
         // 10-landmark bounds can only be tighter or equal.
         for &(s, t) in &[(3usize, 90usize), (20, 60), (55, 119)] {
@@ -331,7 +345,7 @@ mod tests {
             LandmarkSelection::HighestDegree,
             LandmarkSelection::Mixed,
         ] {
-            let index = LandmarkIndex::build(&g, 6, selection, 11).unwrap();
+            let index = landmarks(&g, 6, selection, 11);
             assert_eq!(index.landmarks().len(), 6);
             assert_eq!(index.num_nodes(), 200);
             let mut sorted = index.landmarks().to_vec();
@@ -340,7 +354,7 @@ mod tests {
             assert_eq!(sorted.len(), 6, "landmarks must be distinct");
         }
         // Hubs-first selection starts with the maximum-degree node.
-        let hubs = LandmarkIndex::build(&g, 3, LandmarkSelection::HighestDegree, 0).unwrap();
+        let hubs = landmarks(&g, 3, LandmarkSelection::HighestDegree, 0);
         let max_degree = g.max_degree();
         assert_eq!(g.degree(hubs.landmarks()[0]), max_degree);
     }
@@ -348,8 +362,9 @@ mod tests {
     #[test]
     fn invalid_configuration_is_rejected() {
         let g = generators::complete(10).unwrap();
-        assert!(LandmarkIndex::build(&g, 0, LandmarkSelection::Random, 0).is_err());
-        let index = LandmarkIndex::build(&g, 20, LandmarkSelection::Random, 0).unwrap();
+        let exact = ErIndex::build(&g).unwrap();
+        assert!(LandmarkIndex::build(&exact, 0, LandmarkSelection::Random, 0).is_err());
+        let index = LandmarkIndex::build(&exact, 20, LandmarkSelection::Random, 0).unwrap();
         assert_eq!(index.landmarks().len(), 10, "clamped to n");
         assert!(index.bounds(0, 99).is_err());
     }

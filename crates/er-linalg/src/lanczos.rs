@@ -385,7 +385,7 @@ mod tests {
     fn lanczos_finds_extremes_of_dense_matrix() {
         // Use the Laplacian of K_6: eigenvalues {0, 6, 6, 6, 6, 6}.
         let g = generators::complete(6).unwrap();
-        let l = crate::sparse::CsrMatrix::laplacian(&g);
+        let l = crate::ops::LaplacianOp::new(&g);
         let res = lanczos(&l, 6, 1);
         assert!((res.max() - 6.0).abs() < 1e-6, "max ritz {}", res.max());
         assert!(res.min().abs() < 1e-6, "min ritz {}", res.min());

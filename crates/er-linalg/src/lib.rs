@@ -9,8 +9,6 @@
 //!   symmetric normalised adjacency `N = D^{-1/2} A D^{-1/2}` (same spectrum
 //!   as `P`, used for eigenvalue estimation), the Laplacian `L = D − A` and
 //!   the adjacency operator itself.
-//! * [`sparse`] — an explicit CSR matrix type for callers that want to
-//!   materialise a matrix (e.g. to add diagonal shifts).
 //! * [`dense`] — small dense symmetric matrices, Jacobi eigendecomposition and
 //!   the Moore–Penrose pseudo-inverse (the EXACT baseline, Definition 2.1).
 //! * [`lanczos`] — the three-term Lanczos recurrence (no reorthogonalization;
@@ -34,7 +32,6 @@ pub mod lanczos;
 pub mod ops;
 pub mod sketch;
 pub mod solver;
-pub mod sparse;
 pub mod update;
 pub mod vector;
 
@@ -46,5 +43,4 @@ pub use ops::{
 };
 pub use sketch::ResistanceSketch;
 pub use solver::{solve_overlay_laplacian, solve_preconditioned, CgOutcome, LaplacianSolver};
-pub use sparse::CsrMatrix;
 pub use update::{RankOneUpdate, MIN_DELETE_DENOMINATOR};

@@ -37,7 +37,11 @@
 //!    the paper's Eq. 17 walk-vs-SpMV switch rule per pair — the regime
 //!    where its sampling bound is cheapest.
 //! 6. `Accuracy::WalkBudget` requests explicitly ask for budgeted sampling:
-//!    edge sets go to HAY (budget = trees), pairs to AMC (budget = walks).
+//!    edge sets go to HAY (budget = trees), pairs and batches to GEER
+//!    (budget = walks of its AMC tail). GEER's SMM prefix spends no walks,
+//!    so it answers any budget, from the prefix alone when the budget does
+//!    not cover one AMC batch; AMC alone refuses such a budget with
+//!    `BudgetExceeded`.
 //!
 //! The spectral signal reaches the planner through [`GraphSignals`]: the
 //! service fills it from
@@ -79,7 +83,8 @@ pub enum BackendChoice {
     /// The column-based [`ErIndex`](er_index::ErIndex): single-source rows,
     /// pseudo-inverse diagonal, nearest-neighbour search, exact pairs.
     Index,
-    /// Landmark triangle-inequality bounds (point estimate = bound midpoint).
+    /// Landmark triangle-inequality bounds (point estimate = bound midpoint),
+    /// built on the [`Index`](Self::Index) tier's diagonal.
     Landmark,
 }
 
@@ -194,7 +199,9 @@ impl GraphSignals {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlannerState {
     /// Whether the service has already paid for its [`ErIndex`] tier
-    /// (diagonal + column cache), making index answers marginally free.
+    /// (diagonal + column cache), making index answers marginally free. The
+    /// LANDMARK tier is built on that diagonal, so a LANDMARK build sets
+    /// this too.
     ///
     /// [`ErIndex`]: er_index::ErIndex
     pub index_ready: bool,
@@ -352,7 +359,7 @@ impl Planner {
                         if shape == QueryShape::EdgeSet {
                             BackendChoice::Hay
                         } else {
-                            BackendChoice::Amc
+                            BackendChoice::Geer
                         }
                     }
                 }
@@ -453,7 +460,7 @@ mod tests {
             BackendChoice::Geer
         );
         // The rule only applies to ε targets and pair/batch shapes: edge
-        // sets keep HAY, budget requests keep AMC, exact requests were
+        // sets keep HAY, budget requests keep GEER, exact requests were
         // already exact.
         let edges = Query::edge_set(vec![(0, 1)]);
         assert_eq!(
@@ -462,7 +469,7 @@ mod tests {
         );
         assert_eq!(
             p.route(&q, Accuracy::WalkBudget(100), slow, PlannerState::default()),
-            BackendChoice::Amc
+            BackendChoice::Geer
         );
         // Slow-mixing large repeated-source batch: per-pair CG, not an
         // index build (n solves), unless the index already exists.
@@ -529,7 +536,7 @@ mod tests {
     }
 
     #[test]
-    fn edge_sets_route_to_hay_and_budgets_to_amc() {
+    fn edge_sets_route_to_hay_and_budgets_to_geer() {
         let p = planner();
         let big = GraphSignals::of_nodes(100_000);
         let edges = Query::edge_set(vec![(0, 1), (1, 2)]);
@@ -546,16 +553,20 @@ mod tests {
             ),
             BackendChoice::Hay
         );
-        let pair = Query::pair(0, 9);
-        assert_eq!(
-            p.route(
-                &pair,
-                Accuracy::WalkBudget(100),
-                big,
-                PlannerState::default()
-            ),
-            BackendChoice::Amc
-        );
+        for query in [Query::pair(0, 9), Query::batch(vec![(0, 9), (3, 4)])] {
+            for nodes in [100, 100_000] {
+                assert_eq!(
+                    p.route(
+                        &query,
+                        Accuracy::WalkBudget(100),
+                        GraphSignals::of_nodes(nodes),
+                        PlannerState::default()
+                    ),
+                    BackendChoice::Geer,
+                    "{query:?} on {nodes} nodes"
+                );
+            }
+        }
     }
 
     #[test]

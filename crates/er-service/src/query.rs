@@ -172,7 +172,8 @@ impl Accuracy {
     }
 
     /// A hashable key for this accuracy, with its floats bit-cast — what
-    /// cache classes, coalescing classes and request fingerprints hash.
+    /// cache classes hash, and through them the coalescing classes and the
+    /// server's in-flight table.
     pub(crate) fn key(self) -> (u8, u64, u64) {
         match self {
             Accuracy::Epsilon { eps, delta } => (0, eps.to_bits(), delta.to_bits()),

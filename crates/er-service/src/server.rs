@@ -14,18 +14,21 @@
 //!   [`queue_depth`](ServerConfig::queue_depth) jobs wait at once; beyond
 //!   that, submits fail fast instead of hiding unbounded latency.
 //! * **Priorities and deadlines** — workers pick the highest
-//!   [`Priority`](crate::Priority) first, earliest start-deadline within a
+//!   [`Priority`] first, earliest start-deadline within a
 //!   priority; a job whose deadline lapses before it starts completes with
 //!   [`ServiceError::DeadlineExceeded`] without running.
-//! * **Dedup** — a submit identical to a *queued* request (same query,
-//!   accuracy, backend override) attaches to the existing job: one
-//!   computation fans out to every waiter's ticket. A submit identical to a
-//!   **running** job attaches to that execution too (counted by
-//!   [`ServerStats::attached_running`]); if the job finishes between lookup
-//!   and attach, the submit is served from its just-published result
-//!   instead, so the completion race costs nothing. Deadline-free submits
-//!   only — a request with a deadline always gets its own job, so nobody
-//!   inherits (or loses) an expiry they did not ask for.
+//! * **Dedup** — one in-flight table, keyed by request content (query,
+//!   accuracy, backend override), holds every deadline-free job from
+//!   admission until its result is published, together with the job's one
+//!   response slot. An identical deadline-free submit takes a [`Ticket`] on
+//!   that slot instead of enqueuing a duplicate: while the job is queued it
+//!   counts as [`ServerStats::deduplicated`] (and re-queues the job at its
+//!   own priority), once a worker has taken it as
+//!   [`ServerStats::attached_running`]. The worker removes the entry before
+//!   it completes the slot, so a submit arriving after that starts a new job,
+//!   which the service cache answers. A request with a deadline always gets
+//!   its own job, so nobody inherits (or loses) an expiry they did not ask
+//!   for.
 //! * **Coalescing** — when a worker picks a pair-shaped job it also drains
 //!   compatible queued jobs (same accuracy class and planned backend) and
 //!   answers them as one batch plan via
@@ -41,10 +44,10 @@
 //! coalesced, deduped, cached or served alone — pinned by `tests/server.rs`.
 
 use crate::error::ServiceError;
-use crate::query::Request;
+use crate::query::{Query, Request};
 use crate::response::Response;
 use crate::service::{CacheClass, ResistanceService};
-use crate::session::{ResponseSlot, SubmitOptions, Ticket};
+use crate::session::{Priority, ResponseSlot, SubmitOptions, Ticket};
 use er_walks::par::resolve_threads;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
@@ -110,9 +113,8 @@ pub struct ServerStats {
     /// Submits that attached to an identical queued request instead of
     /// enqueuing a new job.
     pub deduplicated: u64,
-    /// Submits that attached to an identical **running** execution (or, when
-    /// that execution finished between lookup and attach, were served from
-    /// its just-published result).
+    /// Submits that attached to an identical **running** execution instead
+    /// of enqueuing a new job.
     pub attached_running: u64,
     /// Coalesced executions (each merging ≥ 2 requests into one plan).
     pub coalesced_batches: u64,
@@ -142,77 +144,40 @@ impl StatsCell {
     }
 }
 
-/// One admitted request: the work, its scheduling attributes and every
-/// ticket waiting on it (more than one after dedup).
+/// One admitted request: the work, its scheduling attributes and the one
+/// response slot every ticket on it waits on.
 struct Job {
     request: Request,
-    fingerprint: u64,
     deadline: Option<Instant>,
-    waiters: Vec<Arc<ResponseSlot>>,
+    slot: Arc<ResponseSlot>,
+    /// The job's key in [`SchedulerState::in_flight`] (deadline-free jobs
+    /// only).
+    content: Option<Content>,
     /// The coalescing class this job was filed under at admission
     /// (pair-shaped jobs only).
     coalesce_key: Option<CoalesceKey>,
-    /// This job's attach-to-running entry, installed when a worker takes the
-    /// job (deadline-free jobs only, under the take lock) and published to
-    /// when the result is known.
-    running: Option<Arc<Mutex<RunningJob>>>,
 }
 
-/// A job a worker has taken off the queue and is executing right now.
-/// Registered (deadline-free jobs only) in [`SchedulerState::running`] under
-/// the same lock acquisition that removed the job from the queue, so there is
-/// no window in which an identical submit sees the request neither queued nor
-/// running.
-///
-/// Late identical submits push their slot into `late_waiters` while `outcome`
-/// is `None`; the worker publishes the result into `outcome` (draining
-/// `late_waiters`) *before* unregistering the entry, so a submitter that
-/// found the entry just as the job finished reads the published result
-/// instead of attaching to a drained list — the completion race always
-/// resolves to a served ticket.
-struct RunningJob {
-    /// The executing request, for the full equality check behind the
-    /// fingerprint (hash collisions must not attach).
-    request: Request,
-    /// `None` while executing; the published result afterwards.
-    outcome: Option<Result<Response, ServiceError>>,
-    /// Tickets attached after the job started running.
-    late_waiters: Vec<Arc<ResponseSlot>>,
+/// What makes two requests identical for dedup: the query and its cache
+/// class (the accuracy, floats bit-cast, and the backend override).
+type Content = (Query, CacheClass);
+
+fn content(request: &Request) -> Content {
+    (
+        request.query.clone(),
+        CacheClass::of(request.accuracy, request.backend),
+    )
 }
 
-/// What a submit found when it tried to attach to a running execution.
-enum AttachOutcome {
-    /// The execution is still in flight; the slot now waits on it.
-    Attached,
-    /// The execution finished between lookup and attach: its published
-    /// result serves the submit immediately.
-    ServedFromPublished(Result<Response, ServiceError>),
-}
-
-/// Tries to attach `slot` to a running execution of `request`. Must be called
-/// with the scheduler lock held (the registry lives inside it); locks each
-/// candidate entry only long enough to equality-check and either push the
-/// slot or copy the published outcome.
-fn try_attach_running(
-    running: &HashMap<u64, Vec<Arc<Mutex<RunningJob>>>>,
-    fingerprint: u64,
-    request: &Request,
-    slot: &Arc<ResponseSlot>,
-) -> Option<AttachOutcome> {
-    for entry in running.get(&fingerprint)? {
-        let mut run = entry.lock().expect("running job poisoned");
-        if run.request != *request {
-            continue;
-        }
-        return Some(match &run.outcome {
-            None => {
-                run.late_waiters.push(slot.clone());
-                AttachOutcome::Attached
-            }
-            Some(result) => AttachOutcome::ServedFromPublished(ResponseSlot::clone_result(result)),
-        });
-    }
-    None
+/// A deadline-free job's entry in the in-flight table, from admission until
+/// a worker publishes its result.
+struct InFlight {
+    /// The job's response slot, shared by every ticket on the job.
+    slot: Arc<ResponseSlot>,
+    /// Tickets issued on `slot`, the admitting submit's included.
+    tickets: u64,
+    /// The job's id while it is queued; `None` once a worker has taken it.
+    queued: Option<u64>,
 }
 
 /// The equivalence class under which pair-shaped jobs may be answered as one
@@ -249,7 +214,7 @@ impl CoalesceKey {
 /// entries (their job already taken) are skipped on pop.
 #[derive(PartialEq, Eq)]
 struct QueueEntry {
-    priority: crate::session::Priority,
+    priority: Priority,
     deadline: Option<Instant>,
     seq: u64,
     job: u64,
@@ -280,14 +245,9 @@ struct SchedulerState {
     queue: BinaryHeap<QueueEntry>,
     /// Queued jobs by id (removed when a worker takes the job).
     jobs: HashMap<u64, Job>,
-    /// Dedup map: request fingerprint → queued job id.
-    in_flight: HashMap<u64, u64>,
-    /// Attach-to-running registry: fingerprint → the deadline-free jobs
-    /// currently executing under it (a `Vec` because distinct requests can
-    /// collide on the fingerprint; entries are told apart by `Arc` identity).
-    /// Entries are inserted under the take lock and removed after their
-    /// result is published.
-    running: HashMap<u64, Vec<Arc<Mutex<RunningJob>>>>,
+    /// The in-flight table: every deadline-free job by request content, from
+    /// admission until its result is published.
+    in_flight: HashMap<Content, InFlight>,
     /// Per-[`CoalesceKey`] ready-lists of queued job ids, FIFO. Peer
     /// selection pops from the picked job's list in O(1) per peer; ids whose
     /// job was already taken (as a primary, a peer, or expired) are dropped
@@ -299,6 +259,21 @@ struct SchedulerState {
     shutdown: bool,
 }
 
+impl SchedulerState {
+    /// Queues an entry for job `job`; seq numbers keep FIFO order within a
+    /// priority and deadline.
+    fn push(&mut self, priority: Priority, deadline: Option<Instant>, job: u64) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.queue.push(QueueEntry {
+            priority,
+            deadline,
+            seq,
+            job,
+        });
+    }
+}
+
 struct ServerShared {
     service: ResistanceService,
     config: ServerConfig,
@@ -307,17 +282,6 @@ struct ServerShared {
     stats: StatsCell,
     handles: AtomicUsize,
     workers: Mutex<Vec<JoinHandle<()>>>,
-}
-
-/// A stable content hash of a request, for dedup of identical in-flight
-/// queries. Collisions are tolerated: the scheduler confirms with a full
-/// equality check before attaching.
-fn fingerprint(request: &Request) -> u64 {
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
-    let mut h = DefaultHasher::new();
-    (&request.query, request.accuracy.key(), request.backend).hash(&mut h);
-    h.finish()
 }
 
 /// The serving front end. [`spawn`](Self::spawn) is the only entry point: it
@@ -363,7 +327,6 @@ impl ResistanceServer {
                 queue: BinaryHeap::new(),
                 jobs: HashMap::new(),
                 in_flight: HashMap::new(),
-                running: HashMap::new(),
                 ready: HashMap::new(),
                 next_job: 0,
                 next_seq: 0,
@@ -435,8 +398,11 @@ impl ServerHandle {
         request: Request,
         options: SubmitOptions,
     ) -> Result<Ticket, ServiceError> {
-        let slot = ResponseSlot::new();
-        let fp = fingerprint(&request);
+        // Only deadline-free requests share jobs: a job has ONE deadline, and
+        // merging waiters with different (or no) deadlines could expire a
+        // ticket whose caller never asked for one. A deadline submit gets its
+        // own job; the cache tier still dedups the *work*.
+        let content = options.deadline.is_none().then(|| content(&request));
         // Planning is lock-free, so the coalescing class is computed before
         // the scheduler lock; workers then find peers by list lookup alone.
         let coalesce_key = CoalesceKey::of(&self.shared.service, &request);
@@ -444,69 +410,28 @@ impl ServerHandle {
         if st.shutdown {
             return Err(ServiceError::ServerShutdown);
         }
-        // Dedup: attach to an identical queued job (one computation, many
-        // tickets). A higher-priority attacher re-queues the job so it keeps
-        // the most urgent of its waiters' priorities. Requests carrying a
-        // deadline never participate — a job has ONE deadline, and silently
-        // merging waiters with different (or no) deadlines could expire a
-        // ticket whose caller never asked for one. Deadline submits enqueue
-        // their own job instead; the cache tier still dedups the *work*.
-        if let Some(&job_id) = st.in_flight.get(&fp) {
-            let identical = options.deadline.is_none()
-                && st
-                    .jobs
-                    .get(&job_id)
-                    .is_some_and(|job| job.request == request && job.deadline.is_none());
-            if identical {
-                let deadline = {
-                    let job = st.jobs.get_mut(&job_id).expect("in_flight maps live jobs");
-                    job.waiters.push(slot.clone());
-                    job.deadline
-                };
-                let seq = st.next_seq;
-                st.next_seq += 1;
-                st.queue.push(QueueEntry {
-                    priority: options.priority,
-                    deadline,
-                    seq,
-                    job: job_id,
-                });
-                self.shared.stats.update(|s| {
+        // Dedup: an identical job is in flight, so this submit takes a ticket
+        // on its slot (one computation, many tickets). A queued job also gets
+        // a queue entry at this submit's priority, so it runs at the most
+        // urgent of its waiters' priorities.
+        if let Some(entry) = content.as_ref().and_then(|c| st.in_flight.get_mut(c)) {
+            entry.tickets += 1;
+            let ticket = Ticket::new(entry.slot.clone());
+            let queued = entry.queued;
+            match queued {
+                Some(job) => {
+                    st.push(options.priority, None, job);
+                    self.shared.stats.update(|s| {
+                        s.submitted += 1;
+                        s.deduplicated += 1;
+                    });
+                }
+                None => self.shared.stats.update(|s| {
                     s.submitted += 1;
-                    s.deduplicated += 1;
-                });
-                drop(st);
-                self.shared.work_ready.notify_one();
-                return Ok(Ticket::new(slot));
+                    s.attached_running += 1;
+                }),
             }
-        }
-        // Attach-to-running: a submit identical to a job a worker is
-        // executing *right now* rides that execution instead of enqueuing a
-        // duplicate. Same deadline rule as queued dedup; additionally only
-        // deadline-free jobs register in the running map, so an attacher can
-        // never observe a `DeadlineExceeded` it did not ask for. If the job
-        // finished between lookup and attach, its just-published result
-        // serves the submit directly (see [`RunningJob`]).
-        if options.deadline.is_none() {
-            match try_attach_running(&st.running, fp, &request, &slot) {
-                Some(AttachOutcome::Attached) => {
-                    self.shared.stats.update(|s| {
-                        s.submitted += 1;
-                        s.attached_running += 1;
-                    });
-                    return Ok(Ticket::new(slot));
-                }
-                Some(AttachOutcome::ServedFromPublished(result)) => {
-                    self.shared.stats.update(|s| {
-                        s.submitted += 1;
-                        s.attached_running += 1;
-                        s.completed += 1;
-                    });
-                    slot.complete(result);
-                    return Ok(Ticket::new(slot));
-                }
-                None => {}
-            }
+            return Ok(ticket);
         }
         // Admission control: bounded queue.
         if st.jobs.len() >= self.shared.config.queue_depth {
@@ -517,10 +442,18 @@ impl ServerHandle {
         }
         let job_id = st.next_job;
         st.next_job += 1;
-        let seq = st.next_seq;
-        st.next_seq += 1;
         let deadline = options.deadline.map(|d| Instant::now() + d);
-        st.in_flight.insert(fp, job_id);
+        let slot = ResponseSlot::new();
+        if let Some(content) = &content {
+            st.in_flight.insert(
+                content.clone(),
+                InFlight {
+                    slot: slot.clone(),
+                    tickets: 1,
+                    queued: Some(job_id),
+                },
+            );
+        }
         if let Some(key) = coalesce_key {
             st.ready.entry(key).or_default().push_back(job_id);
         }
@@ -528,19 +461,13 @@ impl ServerHandle {
             job_id,
             Job {
                 request,
-                fingerprint: fp,
                 deadline,
-                waiters: vec![slot.clone()],
+                slot: slot.clone(),
+                content,
                 coalesce_key,
-                running: None,
             },
         );
-        st.queue.push(QueueEntry {
-            priority: options.priority,
-            deadline,
-            seq,
-            job: job_id,
-        });
+        st.push(options.priority, deadline, job_id);
         self.shared.stats.update(|s| s.submitted += 1);
         drop(st);
         self.shared.work_ready.notify_one();
@@ -597,49 +524,36 @@ impl ServerHandle {
     }
 }
 
-/// Completes every waiter of a job with copies of one result. The counters
-/// move first (in one coherent update that also covers `extra`) so a caller
-/// woken by the last ticket observes them.
-fn complete_job(
+/// Publishes finished jobs. Each leaves the in-flight table under the
+/// scheduler lock, so no later submit can take a ticket on its slot; the
+/// counters then move by every ticket the jobs served (in one coherent
+/// update that also covers `extra`), and only then do the slots complete, so
+/// a caller woken by its ticket observes the counters.
+fn publish(
     shared: &ServerShared,
-    job: &Job,
-    result: &Result<Response, ServiceError>,
+    done: Vec<(Job, Result<Response, ServiceError>)>,
     extra: impl FnOnce(&mut ServerStats),
 ) {
+    let mut st = shared.state.lock().expect("scheduler state poisoned");
+    let tickets: u64 = done
+        .iter()
+        .map(|(job, _)| match &job.content {
+            Some(content) => {
+                st.in_flight
+                    .remove(content)
+                    .expect("a shared job stays in flight until published")
+                    .tickets
+            }
+            None => 1,
+        })
+        .sum();
+    drop(st);
     shared.stats.update(|s| {
-        s.completed += job.waiters.len() as u64;
+        s.completed += tickets;
         extra(s);
     });
-    for slot in &job.waiters {
-        slot.complete(ResponseSlot::clone_result(result));
-    }
-}
-
-/// Publishes a finished job's result to its attach-to-running entry: the
-/// outcome is stored and the late waiters drained *before* the entry is
-/// unregistered, so a submitter that looked the entry up just as the job
-/// finished still reads the published result (the completion race of the
-/// dedup tier). No-op for jobs that never registered (deadline jobs).
-fn publish_running(shared: &ServerShared, job: &Job, result: &Result<Response, ServiceError>) {
-    let Some(entry) = &job.running else { return };
-    let late = {
-        let mut run = entry.lock().expect("running job poisoned");
-        run.outcome = Some(ResponseSlot::clone_result(result));
-        std::mem::take(&mut run.late_waiters)
-    };
-    if !late.is_empty() {
-        shared.stats.update(|s| s.completed += late.len() as u64);
-        for slot in &late {
-            slot.complete(ResponseSlot::clone_result(result));
-        }
-    }
-    // Unregister last: submits that already hold the Arc observe `outcome`.
-    let mut st = shared.state.lock().expect("scheduler state poisoned");
-    if let Some(list) = st.running.get_mut(&job.fingerprint) {
-        list.retain(|candidate| !Arc::ptr_eq(candidate, entry));
-        if list.is_empty() {
-            st.running.remove(&job.fingerprint);
-        }
+    for (job, result) in done {
+        job.slot.complete(result);
     }
 }
 
@@ -657,7 +571,6 @@ fn worker_loop(shared: &ServerShared) {
                         // Stale entries (job already taken by another worker
                         // or by a coalesced batch) are skipped.
                         if let Some(job) = st.jobs.remove(&entry.job) {
-                            st.in_flight.remove(&job.fingerprint);
                             found = Some(job);
                             break;
                         }
@@ -686,7 +599,6 @@ fn worker_loop(shared: &ServerShared) {
                     while batch.len() < MAX_COALESCE {
                         let Some(id) = list.pop_front() else { break };
                         if let Some(job) = state.jobs.remove(&id) {
-                            state.in_flight.remove(&job.fingerprint);
                             batch.push(job);
                         }
                     }
@@ -698,73 +610,58 @@ fn worker_loop(shared: &ServerShared) {
                     state.ready.remove(&key);
                 }
             }
-            // Register every deadline-free job taken this round in the
-            // attach-to-running registry — under the SAME lock acquisition
-            // that removed it from the queue, so an identical submit never
-            // finds the request neither queued nor running. Deadline jobs
-            // stay out (nobody may attach to them) and are exactly the ones
-            // that can still expire below.
-            for job in &mut batch {
-                if job.deadline.is_none() {
-                    let entry = Arc::new(Mutex::new(RunningJob {
-                        request: job.request.clone(),
-                        outcome: None,
-                        late_waiters: Vec::new(),
-                    }));
-                    st.running
-                        .entry(job.fingerprint)
-                        .or_default()
-                        .push(entry.clone());
-                    job.running = Some(entry);
+            // The jobs taken this round are running: from the same lock
+            // acquisition on, an identical submit attaches to the execution.
+            for job in &batch {
+                if let Some(entry) = job.content.as_ref().and_then(|c| st.in_flight.get_mut(c)) {
+                    entry.queued = None;
                 }
             }
         }
 
-        // Expire jobs whose start deadline has already lapsed.
+        // Expire jobs whose start deadline has already lapsed (deadline jobs
+        // only, each with its own single ticket).
         let now = Instant::now();
         let (live, expired): (Vec<Job>, Vec<Job>) = batch
             .into_iter()
             .partition(|job| job.deadline.is_none_or(|d| now <= d));
-        for job in &expired {
-            complete_job(shared, job, &Err(ServiceError::DeadlineExceeded), |s| {
-                s.expired += 1
-            });
+        let lapsed = expired.len() as u64;
+        if lapsed > 0 {
+            let done = expired
+                .into_iter()
+                .map(|job| (job, Err(ServiceError::DeadlineExceeded)))
+                .collect();
+            publish(shared, done, |s| s.expired += lapsed);
         }
 
         // Execute outside the lock: other workers keep popping meanwhile.
-        match live.len() {
-            0 => {}
-            1 => {
-                let job = &live[0];
-                let result = shared.service.submit(&job.request);
-                complete_job(shared, job, &result, |s| s.executed_jobs += 1);
-                publish_running(shared, job, &result);
-            }
-            n => {
+        let coalesced = match live.len() {
+            0 | 1 => None,
+            _ => {
                 let requests: Vec<&Request> = live.iter().map(|job| &job.request).collect();
-                match shared.service.submit_coalesced(&requests) {
-                    Ok(responses) => {
-                        shared.stats.update(|s| {
-                            s.executed_jobs += 1;
-                            s.coalesced_batches += 1;
-                            s.coalesced_requests += n as u64;
-                        });
-                        for (job, response) in live.iter().zip(responses) {
-                            let result = Ok(response);
-                            complete_job(shared, job, &result, |_| {});
-                            publish_running(shared, job, &result);
-                        }
-                    }
-                    Err(_) => {
-                        // One bad member (e.g. an out-of-range node) must not
-                        // poison its peers: fall back to solo execution, which
-                        // yields identical values and isolates the error.
-                        for job in &live {
-                            let result = shared.service.submit(&job.request);
-                            complete_job(shared, job, &result, |s| s.executed_jobs += 1);
-                            publish_running(shared, job, &result);
-                        }
-                    }
+                shared.service.submit_coalesced(&requests).ok()
+            }
+        };
+        match coalesced {
+            Some(responses) => {
+                let n = live.len() as u64;
+                let done = live
+                    .into_iter()
+                    .zip(responses.into_iter().map(Ok))
+                    .collect();
+                publish(shared, done, |s| {
+                    s.executed_jobs += 1;
+                    s.coalesced_batches += 1;
+                    s.coalesced_requests += n;
+                });
+            }
+            // A lone job, or a batch with one bad member (e.g. an
+            // out-of-range node), which must not poison its peers: solo
+            // execution yields identical values and isolates the error.
+            None => {
+                for job in live {
+                    let result = shared.service.submit(&job.request);
+                    publish(shared, vec![(job, result)], |s| s.executed_jobs += 1);
                 }
             }
         }
@@ -774,8 +671,8 @@ fn worker_loop(shared: &ServerShared) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{Accuracy, Query};
-    use crate::session::Priority;
+    use crate::query::Accuracy;
+    use crate::BackendChoice;
     use er_graph::generators;
     use std::time::Duration;
 
@@ -823,99 +720,37 @@ mod tests {
     }
 
     #[test]
-    fn fingerprints_distinguish_accuracy_and_backend() {
+    fn only_submits_identical_in_query_accuracy_and_backend_share_a_job() {
+        let handle = server(
+            120,
+            ServerConfig {
+                workers: 1,
+                start_paused: true,
+                ..ServerConfig::default()
+            },
+        );
         let base = Request::new(Query::pair(0, 9));
-        assert_eq!(fingerprint(&base), fingerprint(&base.clone()));
-        assert_ne!(
-            fingerprint(&base),
-            fingerprint(&base.clone().with_accuracy(Accuracy::Exact))
-        );
-        assert_ne!(
-            fingerprint(&base),
-            fingerprint(&base.clone().with_backend(crate::BackendChoice::Geer))
-        );
-        assert_ne!(
-            fingerprint(&base),
-            fingerprint(&Request::new(Query::pair(0, 10)))
-        );
-    }
-
-    /// Deterministic reproduction of the attach/completion race at the
-    /// registry level: a submit that found a running entry *after* the worker
-    /// published the result (but before the entry was unregistered) must be
-    /// served from the published outcome, never attach to a drained waiter
-    /// list.
-    #[test]
-    fn attach_after_publish_is_served_from_the_published_result() {
-        let request = Request::new(Query::pair(0, 9));
-        let fp = fingerprint(&request);
-        let entry = Arc::new(Mutex::new(RunningJob {
-            request: request.clone(),
-            outcome: None,
-            late_waiters: Vec::new(),
-        }));
-        let mut running: HashMap<u64, Vec<Arc<Mutex<RunningJob>>>> = HashMap::new();
-        running.insert(fp, vec![entry.clone()]);
-
-        // While the job runs, an identical submit attaches.
-        let early = ResponseSlot::new();
-        assert!(matches!(
-            try_attach_running(&running, fp, &request, &early),
-            Some(AttachOutcome::Attached)
-        ));
-        assert_eq!(entry.lock().unwrap().late_waiters.len(), 1);
-
-        // The worker publishes the outcome and drains the late waiters —
-        // exactly what `publish_running` does before unregistering.
-        {
-            let mut run = entry.lock().unwrap();
-            run.outcome = Some(Err(ServiceError::ServerShutdown));
-            for slot in std::mem::take(&mut run.late_waiters) {
-                slot.complete(Err(ServiceError::ServerShutdown));
-            }
+        let tickets: Vec<Ticket> = [
+            base.clone(),
+            base.clone().with_accuracy(Accuracy::Exact),
+            base.clone().with_backend(BackendChoice::Geer),
+            Request::new(Query::pair(0, 10)),
+            base.clone(),
+        ]
+        .into_iter()
+        .map(|request| handle.submit(request).unwrap())
+        .collect();
+        assert_eq!(handle.pending(), 4, "only the repeat of `base` shared");
+        handle.resume();
+        for ticket in tickets {
+            assert!(ticket.wait().unwrap().value() > 0.0);
         }
-        assert!(matches!(
-            Ticket::new(early).wait(),
-            Err(ServiceError::ServerShutdown)
-        ));
-
-        // The race window: the entry is still registered, the result already
-        // published. A new identical submit is served from the outcome.
-        let late = ResponseSlot::new();
-        match try_attach_running(&running, fp, &request, &late) {
-            Some(AttachOutcome::ServedFromPublished(result)) => {
-                assert!(matches!(result, Err(ServiceError::ServerShutdown)));
-            }
-            other => panic!(
-                "expected ServedFromPublished, got {:?}",
-                other.map(|o| matches!(o, AttachOutcome::Attached))
-            ),
-        }
-        assert!(
-            entry.lock().unwrap().late_waiters.is_empty(),
-            "nothing may attach to a drained waiter list"
-        );
-    }
-
-    /// A fingerprint collision between *different* requests must never
-    /// attach: the registry confirms with a full equality check.
-    #[test]
-    fn attach_requires_full_request_equality_not_just_the_fingerprint() {
-        let running_request = Request::new(Query::pair(0, 9));
-        let fp = fingerprint(&running_request);
-        let entry = Arc::new(Mutex::new(RunningJob {
-            request: running_request,
-            outcome: None,
-            late_waiters: Vec::new(),
-        }));
-        let mut running: HashMap<u64, Vec<Arc<Mutex<RunningJob>>>> = HashMap::new();
-        running.insert(fp, vec![entry.clone()]);
-
-        // Same (colliding) fingerprint, different request: no attach.
-        let other = Request::new(Query::pair(0, 10));
-        let slot = ResponseSlot::new();
-        assert!(try_attach_running(&running, fp, &other, &slot).is_none());
-        assert!(entry.lock().unwrap().late_waiters.is_empty());
+        let clone = handle.clone();
+        clone.shutdown();
+        let stats = handle.stats();
+        assert_eq!(stats.submitted, 5);
+        assert_eq!(stats.deduplicated, 1);
+        assert_eq!(stats.completed, 5);
     }
 
     #[test]

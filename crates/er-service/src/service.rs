@@ -11,7 +11,8 @@
 //!   accuracy/backend-override class, each behind its own mutex, so requests
 //!   in different classes never contend, and
 //! * a registry of memoized heavy backends (index, landmark, dense-exact,
-//!   RP sketch) built lazily behind per-backend locks.
+//!   RP sketch) built lazily behind per-backend locks; the landmark tier is
+//!   built on the index's diagonal.
 //!
 //! [`submit`] matches the planned [`BackendChoice`] and calls that
 //! estimator directly; [`BackendChoice::answers`] is the one table of which
@@ -838,11 +839,14 @@ impl ResistanceService {
         })
     }
 
-    /// The LANDMARK tier, built on first use.
+    /// The LANDMARK tier, built on first use over the INDEX tier's
+    /// diagonal. A LANDMARK build therefore builds the INDEX tier first if
+    /// it is missing, which sets `index_ready`; the landmark columns stay
+    /// out of the INDEX column cache.
     fn landmarks(&self) -> Result<Arc<LandmarkIndex>, ServiceError> {
         memoized(&self.backends.landmark, || {
             Ok(LandmarkIndex::build(
-                self.core.context.graph(),
+                self.index()?.as_ref(),
                 self.core.landmark_count,
                 LandmarkSelection::Mixed,
                 self.core.config.seed,
@@ -1330,6 +1334,70 @@ mod tests {
             .unwrap();
         assert_eq!(response.backend, "AMC");
         assert!(response.cost.random_walks <= 500);
+    }
+
+    /// A planner-routed walk budget goes to GEER, which answers a budget
+    /// below AMC's first batch (from the SMM prefix alone at a budget of 0);
+    /// an explicit AMC override still refuses it.
+    #[test]
+    fn planner_routed_walk_budgets_always_answer() {
+        let g = generators::social_network_like(300, 8.0, 5).unwrap();
+        let s = ResistanceService::new(&g).unwrap();
+        let budgeted = |walks| {
+            Request::new(Query::batch(vec![(10, 290), (3, 150), (21, 199)]))
+                .with_accuracy(Accuracy::WalkBudget(walks))
+        };
+        let planned = s.submit(&budgeted(300)).unwrap();
+        assert_eq!(planned.backend, "GEER");
+        assert_eq!(planned.item_costs.len(), 3);
+        assert!(planned.item_costs.iter().all(|c| c.random_walks <= 300));
+        let forced = s
+            .submit(&budgeted(300).with_backend(BackendChoice::Geer))
+            .unwrap();
+        let bits = |r: &Response| r.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&planned), bits(&forced));
+        assert!(matches!(
+            s.submit(&budgeted(300).with_backend(BackendChoice::Amc)),
+            Err(ServiceError::Estimator(
+                er_core::EstimatorError::BudgetExceeded { .. }
+            ))
+        ));
+        let prefix = s.submit(&budgeted(0)).unwrap();
+        assert_eq!(prefix.backend, "GEER");
+        assert_eq!(prefix.cost.random_walks, 0);
+        assert!(prefix.values.iter().all(|&v| v > 0.0));
+    }
+
+    /// LANDMARK builds on the INDEX tier's diagonal: a LANDMARK build makes
+    /// INDEX ready without caching the landmark columns there, and an
+    /// installed index with a shifted diagonal moves the landmark answers.
+    #[test]
+    fn landmarks_build_on_the_index_tier() {
+        let g = generators::social_network_like(150, 8.0, 7).unwrap();
+        let landmark = |s: &ResistanceService| {
+            let request = Request::new(Query::pair(3, 140)).with_backend(BackendChoice::Landmark);
+            s.submit(&request).unwrap().value()
+        };
+        let fresh = ResistanceService::new(&g).unwrap();
+        assert!(!fresh.planner_state().index_ready);
+        let value = landmark(&fresh);
+        assert!(fresh.planner_state().index_ready);
+        let index = fresh.index_backend().unwrap();
+        assert!(index.resident_columns().is_empty());
+        assert_eq!(index.total_solves(), g.num_nodes() as u64);
+
+        let shifted = ErIndex::from_parts(
+            index.graph_arc().clone(),
+            index.diagonal().iter().map(|d| d + 0.5).collect(),
+            ErIndex::DEFAULT_COLUMN_CAPACITY,
+            Vec::new(),
+            0,
+        );
+        let prebuilt = ResistanceService::new(&g)
+            .unwrap()
+            .with_prebuilt_index(Arc::new(shifted));
+        let moved = landmark(&prebuilt);
+        assert!((moved - value).abs() > 0.1, "{moved} vs {value}");
     }
 
     #[test]

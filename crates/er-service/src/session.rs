@@ -4,8 +4,8 @@
 //! A [`ServerHandle::submit`](crate::ServerHandle::submit) enqueues work and
 //! returns a [`Ticket`] immediately; the caller collects the [`Response`]
 //! with [`Ticket::wait`].
-//! Deduplicated requests share one completion slot, so `k` identical
-//! in-flight tickets are all fulfilled by a single computation.
+//! Identical in-flight requests share one job and its one completion slot,
+//! so `k` identical tickets are all fulfilled by a single computation.
 
 use crate::error::ServiceError;
 use crate::response::Response;
@@ -56,9 +56,11 @@ impl SubmitOptions {
     }
 }
 
-/// The completion slot shared between a submitter and the worker that
-/// fulfils the job — and, for deduplicated requests, between *all* waiters
-/// of the shared computation.
+/// A job's one completion slot, shared by every [`Ticket`] on the job and
+/// by the worker that fulfils it. The server hands out tickets on the slot
+/// of a deadline-free job (through its in-flight table) from admission
+/// until the worker publishes the result; the worker then completes the
+/// slot once, and every ticket reads the same result.
 #[derive(Debug)]
 pub(crate) struct ResponseSlot {
     state: Mutex<Option<Result<Response, ServiceError>>>,
@@ -82,24 +84,14 @@ impl ResponseSlot {
             self.ready.notify_all();
         }
     }
-
-    /// Copies a result for fan-out to several waiters (`Response` clones,
-    /// `ServiceError` goes through [`ServiceError::duplicate`]).
-    pub(crate) fn clone_result(
-        result: &Result<Response, ServiceError>,
-    ) -> Result<Response, ServiceError> {
-        match result {
-            Ok(response) => Ok(response.clone()),
-            Err(e) => Err(e.duplicate()),
-        }
-    }
 }
 
-/// A claim on an in-flight request's [`Response`].
+/// A claim on an in-flight job's [`Response`]: one completion slot shared
+/// with every identical ticket the job serves.
 ///
 /// Returned by [`ServerHandle::submit`](crate::ServerHandle::submit).
 /// Dropping a ticket abandons the claim; the computation still runs (other
-/// deduplicated waiters may hold tickets on it).
+/// tickets may share the job).
 #[derive(Debug)]
 pub struct Ticket {
     slot: Arc<ResponseSlot>,
@@ -110,12 +102,16 @@ impl Ticket {
         Ticket { slot }
     }
 
-    /// Blocks until the request completes and returns its result.
+    /// Blocks until the request completes and returns its result (a copy:
+    /// `Response` clones, `ServiceError` goes through
+    /// [`ServiceError::duplicate`]).
     pub fn wait(self) -> Result<Response, ServiceError> {
         let mut state = self.slot.state.lock().expect("response slot poisoned");
         loop {
-            if let Some(result) = state.as_ref() {
-                return ResponseSlot::clone_result(result);
+            match state.as_ref() {
+                Some(Ok(response)) => return Ok(response.clone()),
+                Some(Err(e)) => return Err(e.duplicate()),
+                None => {}
             }
             state = self.slot.ready.wait(state).expect("response slot poisoned");
         }

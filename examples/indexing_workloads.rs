@@ -50,7 +50,8 @@ fn main() {
 
     // 2. Landmark bounds as a cheap filter in front of GEER (forced through
     //    the service's override knob so the comparison is explicit).
-    let landmarks = LandmarkIndex::build(&graph, 12, LandmarkSelection::Mixed, 3)
+    //    The landmarks reuse the column index's diagonal.
+    let landmarks = LandmarkIndex::build(&index, 12, LandmarkSelection::Mixed, 3)
         .expect("landmark construction");
     let service = ResistanceService::with_config(&graph, config).expect("spectral preprocessing");
     let query_pairs = [(17usize, 500usize), (3, 780), (250, 251), (600, 610)];

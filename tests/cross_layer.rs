@@ -49,7 +49,8 @@ fn index_estimator_and_ground_truth_agree() {
 #[test]
 fn landmark_bounds_contain_both_truth_and_estimates() {
     let graph = shared_graph();
-    let landmarks = LandmarkIndex::build(&graph, 10, LandmarkSelection::Mixed, 5).unwrap();
+    let index = ErIndex::build(&graph).unwrap();
+    let landmarks = LandmarkIndex::build(&index, 10, LandmarkSelection::Mixed, 5).unwrap();
     let truth = GroundTruth::with_method(&graph, GroundTruthMethod::LaplacianSolve);
     let ctx = GraphContext::preprocess(&graph).unwrap();
     let config = ApproxConfig::with_epsilon(0.05);

@@ -103,14 +103,9 @@ fn memory_budgets_surface_as_errors_not_oom() {
 fn index_layer_rejects_invalid_graphs_and_nodes() {
     assert!(ErIndex::build(disconnected()).is_err());
     assert!(ErIndex::build(bipartite()).is_err());
-    assert!(LandmarkIndex::build(&disconnected(), 3, LandmarkSelection::Random, 0).is_err());
-    assert!(LandmarkIndex::build(
-        &generators::complete(8).unwrap(),
-        0,
-        LandmarkSelection::Random,
-        0
-    )
-    .is_err());
+    // Landmarks build on an `ErIndex`, so the graph checks above cover them.
+    let complete = ErIndex::build(generators::complete(8).unwrap()).unwrap();
+    assert!(LandmarkIndex::build(&complete, 0, LandmarkSelection::Random, 0).is_err());
 
     let graph = generators::complete(10).unwrap();
     let index = ErIndex::build(&graph).unwrap();

@@ -9,6 +9,8 @@ use effective_resistance::{
     Accuracy, ApproxConfig, BackendChoice, Query, Request, ResistanceServer, ResistanceService,
     Response, ServerConfig, ServerHandle, ServiceError,
 };
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::{Arc, Mutex};
 
 fn graph() -> Graph {
@@ -316,6 +318,111 @@ fn late_identical_submits_attach_to_the_running_execution() {
         );
     }
     panic!("followers never attached to a running execution in 20 rounds");
+}
+
+/// Four clients send seeded mixes of six distinct deadline-free GEER pair
+/// requests, in bursts, to a two-worker server, so identical requests meet
+/// while queued, while running and after publication. Every ticket carries
+/// its request's solo bits, and every submit is counted exactly once: it took
+/// a ticket on a queued job, on a running job, or started a job that ran
+/// alone or inside a coalesced batch.
+#[test]
+fn seeded_identical_mixes_get_solo_bits_and_every_submit_is_counted_once() {
+    let g = graph();
+    let requests: Vec<Request> = [
+        (0usize, 111usize),
+        (5, 222),
+        (9, 333),
+        (13, 350),
+        (21, 160),
+        (40, 399),
+    ]
+    .iter()
+    .map(|&(s, t)| Request::new(Query::pair(s, t)).with_backend(BackendChoice::Geer))
+    .collect();
+    let solo: Vec<u64> = {
+        let s = service(&g);
+        requests
+            .iter()
+            .map(|r| s.submit(r).unwrap().value().to_bits())
+            .collect()
+    };
+
+    let handle = ResistanceServer::spawn(
+        service(&g),
+        ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        },
+    );
+    let clients: Vec<_> = (0..4u64)
+        .map(|client| {
+            let handle = handle.clone();
+            let requests = requests.clone();
+            let solo = solo.clone();
+            std::thread::spawn(move || {
+                let mut rng = StdRng::seed_from_u64(client);
+                for _ in 0..10 {
+                    let burst: Vec<_> = (0..10)
+                        .map(|_| {
+                            let i = rng.gen_range(0..requests.len());
+                            (i, handle.submit(requests[i].clone()).unwrap())
+                        })
+                        .collect();
+                    for (i, ticket) in burst {
+                        let bits = ticket.wait().unwrap().value().to_bits();
+                        assert_eq!(bits, solo[i], "client {client}, request {i}");
+                    }
+                }
+            })
+        })
+        .collect();
+    for client in clients {
+        client.join().unwrap();
+    }
+    let clone = handle.clone();
+    clone.shutdown();
+    let stats = handle.stats();
+    assert_eq!(stats.submitted, 400);
+    assert_eq!(stats.completed, stats.submitted);
+    assert_eq!(stats.rejected_overloaded + stats.expired, 0);
+    assert_eq!(
+        stats.submitted,
+        stats.deduplicated + stats.attached_running + stats.executed_jobs - stats.coalesced_batches
+            + stats.coalesced_requests,
+        "{stats:?}"
+    );
+}
+
+/// A finished job leaves the in-flight table before its ticket completes,
+/// so a submit made after an identical ticket has returned starts a new job,
+/// which the cache answers; nothing attaches to a published result.
+#[test]
+fn a_submit_after_the_identical_ticket_returned_is_a_new_job_the_cache_answers() {
+    let g = graph();
+    let handle = ResistanceServer::spawn(
+        service(&g),
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    );
+    let rounds = 20;
+    for round in 0..rounds {
+        let request =
+            Request::new(Query::pair(round, 399 - 7 * round)).with_backend(BackendChoice::Geer);
+        let first = handle.submit(request.clone()).unwrap().wait().unwrap();
+        let again = handle.submit(request).unwrap().wait().unwrap();
+        assert_eq!(first.backend_calls, 1, "round {round}");
+        assert_eq!(again.backend_calls, 0, "round {round}: a cache hit");
+        assert_eq!(again.value().to_bits(), first.value().to_bits());
+    }
+    let clone = handle.clone();
+    clone.shutdown();
+    let stats = handle.stats();
+    assert_eq!(stats.executed_jobs, 2 * rounds as u64, "{stats:?}");
+    assert_eq!(stats.attached_running + stats.deduplicated, 0);
+    assert_eq!(stats.completed, 2 * rounds as u64);
 }
 
 #[test]

@@ -123,11 +123,11 @@ fn planner_routing_is_observable_end_to_end() {
     assert_eq!(exact_pair.backend, "INDEX");
     assert!((exact_pair.value() - row.values[6]).abs() < 1e-9);
 
-    // Budgeted sampling goes to AMC.
+    // Budgeted sampling goes to GEER.
     let budgeted = service
         .submit(&Request::new(Query::pair(0, 1_000)).with_accuracy(Accuracy::WalkBudget(100_000)))
         .unwrap();
-    assert_eq!(budgeted.backend, "AMC");
+    assert_eq!(budgeted.backend, "GEER");
     assert!(budgeted.cost.random_walks <= 100_000);
 }
 
