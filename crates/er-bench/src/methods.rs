@@ -87,8 +87,9 @@ impl MethodKind {
 
     /// The service-plane backend corresponding to this method, so harness
     /// configurations translate directly into [`er_service`] override
-    /// requests. `None` for figure-only variants the service does not route
-    /// to (the Peng-length SMM ablation).
+    /// requests. `None` for figure-only methods the service does not serve:
+    /// the Peng-length SMM ablation, and MC, whose trial count assumes
+    /// `r(s, t) ≤ γ`, which the service cannot check.
     pub fn backend_choice(&self) -> Option<er_service::BackendChoice> {
         use er_service::BackendChoice;
         Some(match self {
@@ -100,7 +101,7 @@ impl MethodKind {
             MethodKind::Tpc => BackendChoice::Tpc,
             MethodKind::Rp => BackendChoice::Rp,
             MethodKind::Exact => BackendChoice::ExactDense,
-            MethodKind::Mc => BackendChoice::Mc,
+            MethodKind::Mc => return None,
             MethodKind::Mc2 => BackendChoice::Mc2,
             MethodKind::Hay => BackendChoice::Hay,
         })
@@ -264,6 +265,7 @@ mod tests {
             assert!(response.values[0].is_finite() && response.values[0] >= 0.0);
         }
         assert_eq!(MethodKind::SmmPengLength.backend_choice(), None);
+        assert_eq!(MethodKind::Mc.backend_choice(), None);
     }
 
     #[test]

@@ -58,6 +58,52 @@ pub fn backend_from(args: &ParsedArgs) -> Result<Option<BackendChoice>, String> 
     }
 }
 
+/// Refuses a flag the subcommand does not read, and an unknown subcommand,
+/// so a misspelt flag is an error instead of a silent default. `main` calls
+/// this before it loads the graph.
+pub fn check_flags(args: &ParsedArgs) -> Result<(), String> {
+    const CONFIG: &[&str] = &["epsilon", "delta", "tau", "seed", "threads"];
+    let command = args.command.as_deref().unwrap_or("help");
+    let (config, own): (bool, &[&str]) = match command {
+        "stats" => (false, &[]),
+        "query" if args.is_set("stream") => (
+            true,
+            &["stream", "exact", "walk-budget", "refresh-interval"],
+        ),
+        "query" => (
+            true,
+            &["exact", "walk-budget", "backend", "random", "check"],
+        ),
+        "profile" | "critical" => (true, &["top"]),
+        "sparsify" => (true, &["scores", "samples", "quality-epsilon"]),
+        "cluster" => (
+            false,
+            &["seed", "k", "iterations", "print-assignments", "stability"],
+        ),
+        "serve" => (
+            true,
+            &[
+                "addr",
+                "workers",
+                "queue-depth",
+                "max-connections",
+                "read-timeout-ms",
+            ],
+        ),
+        other => return Err(format!("unknown command '{other}'\n\n{}", usage())),
+    };
+    let mut flags: Vec<&String> = args.flags.keys().collect();
+    flags.sort();
+    for flag in flags {
+        let name = flag.as_str();
+        let read = name == "graph" || (config && CONFIG.contains(&name)) || own.contains(&name);
+        if !read {
+            return Err(format!("'{command}' does not take --{name}"));
+        }
+    }
+    Ok(())
+}
+
 /// `er stats`: structural and spectral summary of the graph.
 pub fn stats(graph: &Graph, _args: &ParsedArgs) -> Result<String, String> {
     let stats = GraphStats::compute(graph);
@@ -176,10 +222,14 @@ pub fn query(graph: &Graph, args: &ParsedArgs) -> Result<String, String> {
 /// ? s t    query r(s, t) on the current graph
 /// ```
 ///
-/// Mutations between queries ride the Sherman–Morrison/overlay path (full
-/// cold rebuild only every `--refresh-interval K` mutations, default 64);
-/// the closing report splits the work into incremental vs full refreshes so
-/// the savings over rebuild-per-burst are visible.
+/// Mutations only edit the overlay; the next query installs an incremental
+/// epoch, or a full cold rebuild once `--refresh-interval K` mutations
+/// (default 64) have passed since the last one. The closing report splits
+/// the refreshes into incremental and full. A mutation advances carried
+/// INDEX state by a Sherman–Morrison update (`sm-updates`) only once an
+/// epoch has built that state, which `?` pair queries never do. Counted
+/// mutations are the ones that changed the edge set: a duplicate insert, a
+/// self-loop or the delete of an absent edge is not counted.
 fn query_stream(graph: &Graph, args: &ParsedArgs, path: &str) -> Result<String, String> {
     let config = approx_config(args)?;
     let accuracy = accuracy_from(args, &config)?;
@@ -207,14 +257,18 @@ fn query_stream(graph: &Graph, args: &ParsedArgs, path: &str) -> Result<String, 
         };
         let u = node("first")?;
         let v = node("second")?;
+        if let Some(extra) = parts.next() {
+            return Err(format!(
+                "line {}: unexpected '{extra}' after the two node ids",
+                lineno + 1
+            ));
+        }
         match op {
             "+" | "insert" => {
-                dynamic.insert_edge(u, v).map_err(|e| e.to_string())?;
-                inserts += 1;
+                inserts += u64::from(dynamic.insert_edge(u, v).map_err(|e| e.to_string())?);
             }
             "-" | "remove" | "delete" => {
-                dynamic.remove_edge(u, v).map_err(|e| e.to_string())?;
-                deletes += 1;
+                deletes += u64::from(dynamic.remove_edge(u, v).map_err(|e| e.to_string())?);
             }
             "?" | "query" => {
                 let response = dynamic
@@ -427,9 +481,7 @@ pub fn profile(graph: &Graph, args: &ParsedArgs) -> Result<String, String> {
     };
     let top: usize = args.flag("top", 10usize)?;
     let config = approx_config(args)?;
-    let service = ResistanceService::with_config(graph, config)
-        .map_err(|e| e.to_string())?
-        .with_landmarks(args.flag("landmarks", 8usize)?);
+    let service = ResistanceService::with_config(graph, config).map_err(|e| e.to_string())?;
     let nearest = service
         .submit(&Request::new(Query::top_k(source, top)))
         .map_err(|e| e.to_string())?;
@@ -446,21 +498,15 @@ pub fn profile(graph: &Graph, args: &ParsedArgs) -> Result<String, String> {
     }
     let kirchhoff = service.kirchhoff_index().map_err(|e| e.to_string())?;
     let _ = writeln!(out, "\nKirchhoff index: {kirchhoff:.1}");
-    // The landmark tier answers distant pairs in O(landmarks) with no
-    // per-query solves — shown here against the service's planned answer.
     let far = graph.num_nodes() - 1;
     let planned = service
         .submit(&Request::new(Query::pair(source, far)))
         .map_err(|e| e.to_string())?;
-    let landmark = service
-        .submit(&Request::new(Query::pair(source, far)).with_backend(BackendChoice::Landmark))
-        .map_err(|e| e.to_string())?;
     let _ = writeln!(
         out,
-        "r({source}, {far}) = {:.4} via {} | landmark point estimate {:.4}",
+        "r({source}, {far}) = {:.4} via {}",
         planned.value(),
-        planned.backend,
-        landmark.value()
+        planned.backend
     );
     Ok(out)
 }
@@ -476,15 +522,15 @@ COMMANDS:
     stats                       structural + spectral summary of the graph
     query <s> <t> […]           PER queries through the ResistanceService planner
                                 (--random N, --check, --exact, --walk-budget N,
-                                --backend geer|amc|smm|tp|tpc|rp|mc|mc2|hay|
-                                          exact|exact-cg|index|landmark;
+                                --backend geer|amc|smm|tp|tpc|rp|mc2|hay|
+                                          exact|exact-cg|index;
                                 --exact takes only exact|exact-cg|index)
                                 --stream <file> replays an edge-mutation/query
                                 trace ('+ u v' | '- u v' | '? s t' per line)
                                 through the incremental dynamic service and
                                 reports incremental-vs-full refresh counters
                                 (--refresh-interval K, default 64)
-    profile <s>                 single-source resistance profile (--top K, --landmarks K)
+    profile <s>                 single-source resistance profile (--top K)
     critical                    rank edges by criticality (--top K)
     sparsify                    build and evaluate a spectral sparsifier (--scores exact|geer|trees)
     cluster                     resistance k-medoids clustering (--k K, --stability)
@@ -493,7 +539,7 @@ COMMANDS:
                                 --max-connections N, --read-timeout-ms N)
     help                        print this message
 
-COMMON FLAGS:
+COMMON FLAGS (stats takes only --graph; cluster takes --graph and --seed):
     --graph <source>            edge-list file or synthetic spec (default: social:2000)
     --epsilon <f>               additive error ε (default 0.1)
     --delta <f>                 failure probability δ (default 0.01)
@@ -582,6 +628,7 @@ mod tests {
     #[test]
     fn query_stream_replays_a_trace_and_reports_refresh_counters() {
         let g = graph();
+        assert!(g.has_edge(5, 17) && !g.has_edge(0, 120) && !g.has_edge(5, 200));
         let path = std::env::temp_dir().join("er_cli_stream_trace.txt");
         std::fs::write(
             &path,
@@ -589,7 +636,11 @@ mod tests {
              ? 0 120\n\
              + 0 120\n\
              + 5 17\n\
+             + 5 200\n\
              ? 0 120\n\
+             + 0 120\n\
+             + 9 9\n\
+             - 0 120\n\
              - 0 120\n\
              ? 0 120\n",
         )
@@ -597,13 +648,23 @@ mod tests {
         let line = format!("query --stream {} --epsilon 0.2", path.display());
         let out = query(&g, &args(&line)).unwrap();
         assert_eq!(out.matches('?').count(), 3, "three query rows: {out}");
-        assert!(out.contains("stream: 3 mutations (2 inserts, 1 deletes), 3 queries"));
+        // Inserting an edge already present (twice), a self-loop and the
+        // second delete change nothing and are not counted.
+        assert!(
+            out.contains("stream: 3 mutations (2 inserts, 1 deletes), 3 queries"),
+            "{out}"
+        );
         assert!(out.contains("refreshes: snapshot"), "{out}");
         assert!(out.contains("incremental) | service"), "{out}");
-        assert!(out.contains("sm-updates"), "{out}");
-        // Unknown ops and unreadable traces are reported, not panicked on.
+        // Pair queries never build the INDEX state Sherman–Morrison carries.
+        assert!(out.contains("sm-updates 0 |"), "{out}");
+        // Unknown ops, a third token and unreadable traces are reported,
+        // not panicked on.
         std::fs::write(&path, "! 0 1\n").unwrap();
         assert!(query(&g, &args(&line)).is_err());
+        std::fs::write(&path, "+ 1 2 3\n").unwrap();
+        let err = query(&g, &args(&line)).unwrap_err();
+        assert!(err.contains("line 1") && err.contains("'3'"), "{err}");
         let _ = std::fs::remove_file(&path);
         assert!(query(&g, &args(&line)).is_err(), "missing trace file");
     }
@@ -634,11 +695,32 @@ mod tests {
     #[test]
     fn profile_lists_nearest_nodes() {
         let g = graph();
-        let out = profile(&g, &args("profile 3 --top 4 --landmarks 4")).unwrap();
+        let out = profile(&g, &args("profile 3 --top 4")).unwrap();
         assert!(out.contains("nearest 4 nodes"));
         assert!(out.contains("Kirchhoff"));
         assert!(profile(&g, &args("profile")).is_err());
         assert!(profile(&g, &args("profile notanode")).is_err());
+    }
+
+    #[test]
+    fn flags_a_subcommand_does_not_read_are_refused() {
+        let err = check_flags(&args("profile 3 --landmarks 4")).unwrap_err();
+        assert!(err.contains("--landmarks"), "{err}");
+        let err = check_flags(&args("query 0 5 --theads 2")).unwrap_err();
+        assert!(err.contains("--theads"), "{err}");
+        // The stream replay reads no --backend; stats reads no --seed.
+        assert!(check_flags(&args("query --stream t.txt --backend geer")).is_err());
+        assert!(check_flags(&args("stats --seed 3")).is_err());
+        assert!(check_flags(&args("bogus")).is_err(), "unknown command");
+        for line in [
+            "query 0 5 --threads 2 --graph social:600 --backend index --check",
+            "query --stream t.txt --refresh-interval 8 --exact",
+            "profile 3 --top 4 --epsilon 0.2",
+            "cluster --k 3 --seed 2 --stability",
+            "serve --addr 127.0.0.1:0 --workers 2",
+        ] {
+            assert_eq!(check_flags(&args(line)), Ok(()), "{line}");
+        }
     }
 
     #[test]

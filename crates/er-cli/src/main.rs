@@ -33,6 +33,10 @@ fn main() -> ExitCode {
         println!("{}", commands::usage());
         return ExitCode::SUCCESS;
     }
+    if let Err(message) = commands::check_flags(&parsed) {
+        eprintln!("error: {message}");
+        return ExitCode::FAILURE;
+    }
 
     let source = GraphSource::from_flag(&parsed.flag_str("graph", "social:2000"));
     let (graph, description) = match source.load() {
@@ -52,10 +56,7 @@ fn main() -> ExitCode {
         "sparsify" => commands::sparsify(&graph, &parsed),
         "cluster" => commands::cluster(&graph, &parsed),
         "serve" => commands::serve(graph, &parsed),
-        other => Err(format!(
-            "unknown command '{other}'\n\n{}",
-            commands::usage()
-        )),
+        other => unreachable!("check_flags refused the command '{other}'"),
     };
     match result {
         Ok(report) => {

@@ -94,12 +94,6 @@ impl Geer {
         self
     }
 
-    /// The greedy switch point ℓ*_b the estimator would pick for `(s, t)`
-    /// under the current configuration (useful to centre the Fig. 10 sweep).
-    pub fn greedy_switch_point(&mut self, s: NodeId, t: NodeId) -> Result<usize, EstimatorError> {
-        Ok(self.run(s, t, SwitchRule::Greedy)?.ell_b)
-    }
-
     /// Answers a query and returns the full trace.
     pub fn estimate_traced(&mut self, s: NodeId, t: NodeId) -> Result<GeerTrace, EstimatorError> {
         self.run(s, t, self.switch_rule)

@@ -53,11 +53,6 @@ impl GraphBuilder {
         self.n
     }
 
-    /// Number of (possibly duplicated) edges added so far.
-    pub fn num_pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Finalises the graph: deduplicates edges and assembles the CSR arrays.
     ///
     /// Returns [`GraphError::Empty`] if the graph would have zero nodes.

@@ -64,8 +64,8 @@ impl LandmarkBounds {
 /// Landmark index: exact resistance vectors from `k` landmarks to all nodes.
 pub struct LandmarkIndex {
     landmarks: Vec<NodeId>,
-    /// `sqrt_resistances[j][v] = √r(landmark_j, v)`.
-    sqrt_resistances: Vec<Vec<f64>>,
+    /// `distances[j][v] = √r(landmark_j, v)`.
+    distances: Vec<Vec<f64>>,
     num_nodes: usize,
 }
 
@@ -97,98 +97,21 @@ impl LandmarkIndex {
             Vec::new(),
             0,
         );
-        let mut sqrt_resistances = Vec::with_capacity(landmarks.len());
+        let mut distances = Vec::with_capacity(landmarks.len());
         for &l in &landmarks {
             let profile = columns.single_source(l)?;
-            sqrt_resistances.push(profile.into_iter().map(|r| r.max(0.0).sqrt()).collect());
+            distances.push(profile.into_iter().map(|r| r.max(0.0).sqrt()).collect());
         }
         Ok(LandmarkIndex {
             landmarks,
-            sqrt_resistances,
+            distances,
             num_nodes: n,
-        })
-    }
-
-    /// Reassembles an index from previously extracted parts —
-    /// `sqrt_resistances[j][v]` must be `√r(landmarks[j], v)` on the graph
-    /// the index will serve. This is the re-injection seam of incremental
-    /// dynamic serving: the dynamic service extracts the table, advances it
-    /// through Sherman–Morrison rank-1 updates as edges mutate, and rebuilds
-    /// the index for the next epoch without re-solving any landmark column.
-    ///
-    /// ```
-    /// use er_graph::generators;
-    /// use er_index::{ErIndex, LandmarkIndex, LandmarkSelection};
-    ///
-    /// let g = generators::social_network_like(100, 7.0, 2).unwrap();
-    /// let index = ErIndex::build(&g).unwrap();
-    /// let built = LandmarkIndex::build(&index, 4, LandmarkSelection::Mixed, 1).unwrap();
-    /// let table: Vec<Vec<f64>> = (0..4)
-    ///     .map(|j| (0..100).map(|v| built.sqrt_resistance(j, v)).collect())
-    ///     .collect();
-    /// let rebuilt =
-    ///     LandmarkIndex::from_parts(built.landmarks().to_vec(), table, 100).unwrap();
-    /// assert_eq!(rebuilt.bounds(5, 60).unwrap(), built.bounds(5, 60).unwrap());
-    /// ```
-    pub fn from_parts(
-        landmarks: Vec<NodeId>,
-        sqrt_resistances: Vec<Vec<f64>>,
-        num_nodes: usize,
-    ) -> Result<Self, IndexError> {
-        if landmarks.is_empty() || landmarks.len() != sqrt_resistances.len() {
-            return Err(IndexError::InvalidConfiguration {
-                name: "landmarks",
-                message: format!(
-                    "need matching non-empty landmark ({}) and table ({}) lengths",
-                    landmarks.len(),
-                    sqrt_resistances.len()
-                ),
-            });
-        }
-        for &l in &landmarks {
-            if l >= num_nodes {
-                return Err(IndexError::Graph(er_graph::GraphError::NodeOutOfRange {
-                    node: l,
-                    n: num_nodes,
-                }));
-            }
-        }
-        if sqrt_resistances.iter().any(|row| row.len() != num_nodes) {
-            return Err(IndexError::InvalidConfiguration {
-                name: "sqrt_resistances",
-                message: format!("every row must have num_nodes = {num_nodes} entries"),
-            });
-        }
-        Ok(LandmarkIndex {
-            landmarks,
-            sqrt_resistances,
-            num_nodes,
         })
     }
 
     /// The landmark node ids.
     pub fn landmarks(&self) -> &[NodeId] {
         &self.landmarks
-    }
-
-    /// The stored exact `√r(landmark, v)` for the landmark at position
-    /// `landmark_pos` of [`landmarks`](Self::landmarks).
-    ///
-    /// This is the extraction side of [`from_parts`](Self::from_parts): the
-    /// dynamic service reads the whole table out through it, advances it
-    /// across an edge mutation with Sherman–Morrison updates, and carries it
-    /// into the next epoch's index instead of re-solving the landmark
-    /// columns.
-    ///
-    /// # Panics
-    /// Panics if `landmark_pos` or `v` is out of range.
-    pub fn sqrt_resistance(&self, landmark_pos: usize, v: NodeId) -> f64 {
-        self.sqrt_resistances[landmark_pos][v]
-    }
-
-    /// Number of nodes covered by the index.
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
     }
 
     /// Triangle-inequality bounds on `r(s, t)` using every landmark.
@@ -208,8 +131,8 @@ impl LandmarkIndex {
         let mut lower: f64 = 0.0;
         let mut upper = f64::INFINITY;
         for (j, &l) in self.landmarks.iter().enumerate() {
-            let a = self.sqrt_resistances[j][s];
-            let b = self.sqrt_resistances[j][t];
+            let a = self.distances[j][s];
+            let b = self.distances[j][t];
             let low = (a - b) * (a - b);
             let high = (a + b) * (a + b);
             lower = lower.max(low);
@@ -224,11 +147,6 @@ impl LandmarkIndex {
             }
         }
         Ok(LandmarkBounds { lower, upper })
-    }
-
-    /// Point estimate (bound midpoint) for `r(s, t)`.
-    pub fn estimate(&self, s: NodeId, t: NodeId) -> Result<f64, IndexError> {
-        Ok(self.bounds(s, t)?.estimate())
     }
 }
 
@@ -311,18 +229,6 @@ mod tests {
     }
 
     #[test]
-    fn sqrt_resistance_is_the_exact_landmark_profile() {
-        let g = generators::social_network_like(140, 8.0, 6).unwrap();
-        let index = landmarks(&g, 4, LandmarkSelection::Mixed, 2);
-        let solver = LaplacianSolver::for_ground_truth(&g);
-        for (pos, &l) in index.landmarks().iter().enumerate() {
-            assert_eq!(index.sqrt_resistance(pos, l), 0.0);
-            let exact = solver.effective_resistance(l, 77);
-            assert!((index.sqrt_resistance(pos, 77).powi(2) - exact).abs() < 1e-6);
-        }
-    }
-
-    #[test]
     fn more_landmarks_never_loosen_bounds() {
         let g = generators::social_network_like(120, 7.0, 9).unwrap();
         let small = landmarks(&g, 2, LandmarkSelection::HighestDegree, 4);
@@ -347,7 +253,6 @@ mod tests {
         ] {
             let index = landmarks(&g, 6, selection, 11);
             assert_eq!(index.landmarks().len(), 6);
-            assert_eq!(index.num_nodes(), 200);
             let mut sorted = index.landmarks().to_vec();
             sorted.sort_unstable();
             sorted.dedup();

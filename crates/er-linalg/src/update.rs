@@ -10,8 +10,8 @@
 //! ```
 //!
 //! so *everything the serving stack keeps resident* — L⁺ columns in the
-//! INDEX tier, the L⁺ diagonal, landmark resistance tables — updates in
-//! `O(n)` per resident vector instead of a CG re-solve from scratch. Note
+//! INDEX tier and the L⁺ diagonal — updates in `O(n)` per resident vector
+//! instead of a CG re-solve from scratch. Note
 //! `bᵀw = w[u] − w[v] = r(u, v)`, the effective resistance of the mutated
 //! edge in the *old* graph: insertion denominators are `1 + r > 1` (always
 //! safe), deletion denominators are `1 − r`, which approaches zero exactly
@@ -53,10 +53,12 @@ pub const MIN_DELETE_DENOMINATOR: f64 = 1e-6;
 ///
 /// // Deleting {0, 3} from K_6: the denominator 1 − r(0, 3) = 1 − 1/3 is
 /// // comfortably positive, so the update is accepted...
-/// let update = RankOneUpdate::for_delete(w, u, v, 1e-6).expect("not a bridge");
-/// // ...and the updated resistance matches K_6 minus one edge.
-/// let r_new = update.apply_resistance(update.edge_resistance(), u, v);
-/// assert!((r_new - 0.5).abs() < 1e-9);
+/// let update = RankOneUpdate::for_delete(w.clone(), u, v, 1e-6).expect("not a bridge");
+/// // ...and `w` itself is `L⁺ b_e`, so its update gives the new resistance,
+/// // which matches K_6 minus one edge.
+/// let mut w_new = w;
+/// update.apply_column(&mut w_new);
+/// assert!((w_new[u] - w_new[v] - 0.5).abs() < 1e-9);
 /// ```
 #[derive(Clone, Debug)]
 pub struct RankOneUpdate {
@@ -107,12 +109,6 @@ impl RankOneUpdate {
         })
     }
 
-    /// The effective resistance `r(u, v) = bᵀw` of the mutated edge in the
-    /// pre-mutation graph.
-    pub fn edge_resistance(&self) -> f64 {
-        self.w[self.u] - self.w[self.v]
-    }
-
     /// The Sherman–Morrison denominator `1 ± r(u, v)`.
     pub fn denominator(&self) -> f64 {
         self.den
@@ -139,14 +135,6 @@ impl RankOneUpdate {
             *d -= scale * wi * wi;
         }
     }
-
-    /// Updates one effective-resistance value `r(s, t)` to its post-mutation
-    /// value in `O(1)`: `r' = r − σ · (w[s] − w[t])² / den`. This is how the
-    /// landmark distance tables ride along without reconstructing columns.
-    pub fn apply_resistance(&self, r: f64, s: usize, t: usize) -> f64 {
-        let bw = self.w[s] - self.w[t];
-        r - self.sign * bw * bw / self.den
-    }
 }
 
 #[cfg(test)]
@@ -171,14 +159,15 @@ mod tests {
         let update = RankOneUpdate::for_insert(w, u, v);
         assert!(update.denominator() > 1.0);
 
-        // Maintain the column of node 12 and the resistance r(7, 40).
+        // Maintain the column of node 12 and L⁺(e_7 − e_40), whose
+        // difference at 7 and 40 is r(7, 40).
         let mut e = vec![0.0; g.num_nodes()];
         e[12] = 1.0;
         let (mut col, _) = LaplacianSolver::for_ground_truth(&g).solve(&e);
         update.apply_column(&mut col);
-        let w_740 = solve_b(&g, 7, 40);
-        let r_old = w_740[7] - w_740[40];
-        let r_new = update.apply_resistance(r_old, 7, 40);
+        let mut w_740 = solve_b(&g, 7, 40);
+        update.apply_column(&mut w_740);
+        let r_new = w_740[7] - w_740[40];
 
         let mut edges: Vec<(usize, usize)> = g.edges().collect();
         edges.push((u.min(v), u.max(v)));
@@ -227,9 +216,11 @@ mod tests {
             let fresh = solver2.solve(&e).0[i];
             assert!((diag[i] - fresh).abs() < 1e-8, "diag[{i}]");
         }
-        // r' via apply_resistance agrees with the fresh graph too.
-        let r_old = solve_b(&g, 0, 1)[0] - solve_b(&g, 0, 1)[1];
-        let r_new = update.apply_resistance(r_old, 0, 1);
+        // r'(0, 1) from the updated L⁺(e_0 − e_1) agrees with the fresh
+        // graph too.
+        let mut w_01 = solve_b(&g, 0, 1);
+        update.apply_column(&mut w_01);
+        let r_new = w_01[0] - w_01[1];
         assert!((r_new - solver2.effective_resistance(0, 1)).abs() < 1e-9);
     }
 

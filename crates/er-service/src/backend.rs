@@ -1,12 +1,11 @@
 //! The two serving algorithms that take more than one estimator call.
 //!
-//! [`ResistanceService`](crate::ResistanceService) answers GEER, INDEX and
-//! LANDMARK by calling `GeerBatch::run`, `ErIndex::resistance` or
-//! `LandmarkIndex::estimate` directly. Every other backend answers the
-//! distinct pairs of a request here:
+//! [`ResistanceService`](crate::ResistanceService) answers GEER and INDEX by
+//! calling `GeerBatch::run` or `ErIndex::resistance` directly. Every other
+//! backend answers the distinct pairs of a request here:
 //!
-//! * [`forked`] — any [`ForkableEstimator`] (AMC, SMM, TP, TPC, RP, MC,
-//!   MC2, EXACT, EXACT-CG): pair `i` runs on an independent fork of the
+//! * [`forked`] — any [`ForkableEstimator`] (AMC, SMM, TP, TPC, RP, MC2,
+//!   EXACT, EXACT-CG): pair `i` runs on an independent fork of the
 //!   prototype on the pair's content-derived stream, so values are
 //!   bit-identical at any thread count and in any batch.
 //! * [`hay`] — batch-native HAY: one pool of uniform spanning trees scores

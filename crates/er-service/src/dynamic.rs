@@ -24,11 +24,11 @@
 //!   old-version bits; nobody blocks on a mutation burst — if the updater
 //!   lock is busy, a query simply serves the previous epoch.
 //! * **Sherman–Morrison carry.** When the current epoch has built INDEX
-//!   state (the resident L⁺ diagonal and columns, plus any landmark
-//!   distance table), each edge mutation advances that state in `O(n)` per
-//!   resident vector via [`RankOneUpdate`] instead of discarding it. The
-//!   next incremental epoch is assembled around the carried state, so
-//!   mid-burst refreshes never re-run the `O(n·solves)` index build.
+//!   state (the resident L⁺ diagonal and columns), each edge mutation
+//!   advances that state in `O(n)` per resident vector via
+//!   [`RankOneUpdate`] instead of discarding it. The next incremental epoch
+//!   is assembled around the carried state, so mid-burst refreshes never
+//!   re-run the `O(n·solves)` index build.
 //!
 //! Deletions whose Sherman–Morrison denominator `1 − r(u, v)` is too small
 //! (bridges and near-bridges) refuse the rank-1 path: the carried state is
@@ -47,7 +47,7 @@ use crate::response::Response;
 use crate::service::ResistanceService;
 use er_core::{ApproxConfig, EstimatorError, GraphContext};
 use er_graph::{Graph, NodeId, OverlayGraph};
-use er_index::{ErIndex, IndexError, LandmarkIndex};
+use er_index::{ErIndex, IndexError};
 use er_linalg::{solve_overlay_laplacian, LaplacianSolver, RankOneUpdate};
 
 /// Deletion denominator floor for *carried-state* updates. Looser than
@@ -93,10 +93,6 @@ struct CarriedState {
     column_capacity: usize,
     /// Build solve count of the harvested index (for cost accounting).
     build_solves: u64,
-    /// Landmark ids and their *resistance* rows `r(landmark, v)` (squared
-    /// back from the stored `√r` so [`RankOneUpdate::apply_resistance`]
-    /// applies directly).
-    landmarks: Option<(Vec<NodeId>, Vec<Vec<f64>>)>,
 }
 
 /// The single-writer side: the edge set, the refresh state, the carried
@@ -251,27 +247,11 @@ impl DynamicResistanceService {
         let Some(index) = epoch.service().index_backend() else {
             return;
         };
-        let landmarks = epoch.service().landmark_backend().map(|index| {
-            let ids = index.landmarks().to_vec();
-            let n = index.num_nodes();
-            let rows = (0..ids.len())
-                .map(|j| {
-                    (0..n)
-                        .map(|v| {
-                            let s = index.sqrt_resistance(j, v);
-                            s * s
-                        })
-                        .collect()
-                })
-                .collect();
-            (ids, rows)
-        });
         inner.carried = Some(CarriedState {
             diagonal: index.diagonal().to_vec(),
             columns: index.resident_columns(),
             column_capacity: index.column_capacity(),
             build_solves: index.build_solves(),
-            landmarks,
         });
     }
 
@@ -334,13 +314,6 @@ impl DynamicResistanceService {
         update.apply_diagonal(&mut carried.diagonal);
         for (_, column) in &mut carried.columns {
             update.apply_column(column);
-        }
-        if let Some((ids, rows)) = carried.landmarks.as_mut() {
-            for (l, row) in ids.iter().zip(rows.iter_mut()) {
-                for (t, r) in row.iter_mut().enumerate() {
-                    *r = update.apply_resistance(*r, *l, t);
-                }
-            }
         }
         inner.sm_updates += 1;
     }
@@ -476,14 +449,6 @@ impl DynamicResistanceService {
                 carried.build_solves,
             );
             service = service.with_prebuilt_index(Arc::new(index));
-            if let Some((ids, rows)) = &carried.landmarks {
-                let sqrt = rows
-                    .iter()
-                    .map(|row| row.iter().map(|&r| r.max(0.0).sqrt()).collect())
-                    .collect();
-                let index = LandmarkIndex::from_parts(ids.clone(), sqrt, carried.diagonal.len())?;
-                service = service.with_prebuilt_landmarks(Arc::new(index));
-            }
         }
         let epoch = Arc::new(ServiceEpoch { version, service });
         *self.lock_epoch() = Some(Arc::clone(&epoch));

@@ -55,7 +55,14 @@ use er_graph::NodeId;
 use std::collections::HashMap;
 
 /// The backends the service can route to. The first ten wrap the er-core
-/// estimators one-to-one; the last two wrap the er-index structures.
+/// estimators one-to-one; the last wraps the er-index column index.
+///
+/// Each backend is sized for the accuracy a request asks for: `Exact` to
+/// solver tolerance, ε with probability at least 1 − δ. The service
+/// therefore serves neither the landmark bounds of
+/// [`er_index::LandmarkIndex`], whose midpoint ignores ε, nor
+/// [`er_core::Mc`], whose trial count assumes `r(s, t) ≤ γ`, which the
+/// service cannot check.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BackendChoice {
     /// GEER (Algorithm 3) — SMM prefix + AMC tail with the Eq. 17 switch.
@@ -70,8 +77,6 @@ pub enum BackendChoice {
     Tpc,
     /// RP — random-projection sketch.
     Rp,
-    /// MC — commute-time / escape-probability sampling.
-    Mc,
     /// MC2 — edge-query Monte Carlo.
     Mc2,
     /// HAY — spanning-tree sampling, batch-native over edge sets.
@@ -83,9 +88,6 @@ pub enum BackendChoice {
     /// The column-based [`ErIndex`](er_index::ErIndex): single-source rows,
     /// pseudo-inverse diagonal, nearest-neighbour search, exact pairs.
     Index,
-    /// Landmark triangle-inequality bounds (point estimate = bound midpoint),
-    /// built on the [`Index`](Self::Index) tier's diagonal.
-    Landmark,
 }
 
 impl BackendChoice {
@@ -98,19 +100,17 @@ impl BackendChoice {
             BackendChoice::Tp => "TP",
             BackendChoice::Tpc => "TPC",
             BackendChoice::Rp => "RP",
-            BackendChoice::Mc => "MC",
             BackendChoice::Mc2 => "MC2",
             BackendChoice::Hay => "HAY",
             BackendChoice::ExactDense => "EXACT",
             BackendChoice::ExactCg => "EXACT-CG",
             BackendChoice::Index => "INDEX",
-            BackendChoice::Landmark => "LANDMARK",
         }
     }
 
     /// Whether the backend computes resistances exactly (to solver
-    /// tolerance) rather than sampling or bounding them. Only these may
-    /// answer an [`Accuracy::Exact`] request that overrides the planner.
+    /// tolerance) rather than sampling them. Only these may answer an
+    /// [`Accuracy::Exact`] request that overrides the planner.
     pub fn is_exact(&self) -> bool {
         matches!(
             self,
@@ -141,13 +141,11 @@ impl BackendChoice {
             "tp" => BackendChoice::Tp,
             "tpc" => BackendChoice::Tpc,
             "rp" => BackendChoice::Rp,
-            "mc" => BackendChoice::Mc,
             "mc2" => BackendChoice::Mc2,
             "hay" => BackendChoice::Hay,
             "exact" | "exact-dense" => BackendChoice::ExactDense,
             "exact-cg" | "cg" => BackendChoice::ExactCg,
             "index" => BackendChoice::Index,
-            "landmark" => BackendChoice::Landmark,
             _ => return None,
         })
     }
@@ -199,9 +197,7 @@ impl GraphSignals {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlannerState {
     /// Whether the service has already paid for its [`ErIndex`] tier
-    /// (diagonal + column cache), making index answers marginally free. The
-    /// LANDMARK tier is built on that diagonal, so a LANDMARK build sets
-    /// this too.
+    /// (diagonal + column cache), making index answers marginally free.
     ///
     /// [`ErIndex`]: er_index::ErIndex
     pub index_ready: bool,
@@ -722,13 +718,11 @@ mod tests {
             BackendChoice::Tp,
             BackendChoice::Tpc,
             BackendChoice::Rp,
-            BackendChoice::Mc,
             BackendChoice::Mc2,
             BackendChoice::Hay,
             BackendChoice::ExactDense,
             BackendChoice::ExactCg,
             BackendChoice::Index,
-            BackendChoice::Landmark,
         ] {
             assert_eq!(
                 BackendChoice::parse(choice.name()),
@@ -738,5 +732,8 @@ mod tests {
         }
         assert_eq!(BackendChoice::parse("cg"), Some(BackendChoice::ExactCg));
         assert_eq!(BackendChoice::parse("bogus"), None);
+        // The landmark bounds and MC are not served: they miss ε.
+        assert_eq!(BackendChoice::parse("landmark"), None);
+        assert_eq!(BackendChoice::parse("mc"), None);
     }
 }

@@ -10,9 +10,8 @@
 //! * a sharded cache tier: one [`QueryCache`] shard per
 //!   accuracy/backend-override class, each behind its own mutex, so requests
 //!   in different classes never contend, and
-//! * a registry of memoized heavy backends (index, landmark, dense-exact,
-//!   RP sketch) built lazily behind per-backend locks; the landmark tier is
-//!   built on the index's diagonal.
+//! * a registry of memoized heavy backends (index, dense-exact, RP sketch)
+//!   built lazily behind per-backend locks.
 //!
 //! [`submit`] matches the planned [`BackendChoice`] and calls that
 //! estimator directly; [`BackendChoice::answers`] is the one table of which
@@ -27,11 +26,11 @@ use crate::planner::{BackendChoice, GraphSignals, Planner, PlannerConfig, Planne
 use crate::query::{Accuracy, Query, Request};
 use crate::response::Response;
 use er_core::{
-    Amc, ApproxConfig, CostBreakdown, Exact, GeerBatch, GeerBatchRun, GraphContext, Mc, Mc2, Rp,
-    Smm, Tp, Tpc,
+    Amc, ApproxConfig, CostBreakdown, Exact, GeerBatch, GeerBatchRun, GraphContext, Mc2, Rp, Smm,
+    Tp, Tpc,
 };
 use er_graph::{IntoGraphArc, NodeId};
-use er_index::{ErIndex, LandmarkIndex, LandmarkSelection, QueryCache};
+use er_index::{ErIndex, QueryCache};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, RwLock};
@@ -86,7 +85,6 @@ struct ServiceCore {
     context: GraphContext,
     config: ApproxConfig,
     planner: Planner,
-    landmark_count: usize,
 }
 
 /// The sharded cache tier: one bounded [`QueryCache`] per cache class, each
@@ -152,7 +150,6 @@ struct BackendRegistry {
     ///
     /// [`planner_state`]: ResistanceService::planner_state
     index_ready: std::sync::atomic::AtomicBool,
-    landmark: Mutex<Option<Arc<LandmarkIndex>>>,
     exact_dense: Mutex<Option<Arc<Exact>>>,
     /// RP's sketch is ε/δ-specific, so it is memoized per operating point.
     rp: Mutex<Option<(RpKey, Arc<Rp>)>>,
@@ -240,9 +237,6 @@ impl ResistanceService {
     /// Default capacity of each accuracy-class cache shard.
     pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 
-    /// Default number of landmarks for the LANDMARK backend.
-    pub const DEFAULT_LANDMARKS: usize = 16;
-
     /// Builds a service over `graph` with [`ApproxConfig::default`] (runs the
     /// spectral preprocessing once).
     pub fn new(graph: impl IntoGraphArc) -> Result<Self, ServiceError> {
@@ -266,7 +260,6 @@ impl ResistanceService {
                 context,
                 config,
                 planner: Planner::default(),
-                landmark_count: Self::DEFAULT_LANDMARKS,
             }),
             caches: CacheTier::new(Self::DEFAULT_CACHE_CAPACITY),
             backends: BackendRegistry::default(),
@@ -284,13 +277,6 @@ impl ResistanceService {
     #[must_use]
     pub fn with_planner_config(mut self, config: PlannerConfig) -> Self {
         self.core_mut().planner = Planner::new(config);
-        self
-    }
-
-    /// Overrides the landmark count of the LANDMARK backend.
-    #[must_use]
-    pub fn with_landmarks(mut self, count: usize) -> Self {
-        self.core_mut().landmark_count = count.max(1);
         self
     }
 
@@ -313,24 +299,6 @@ impl ResistanceService {
         self
     }
 
-    /// Installs a pre-built LANDMARK backend (no lazy build, no solves).
-    /// Same contract as [`with_prebuilt_index`](Self::with_prebuilt_index):
-    /// the index must describe this service's graph.
-    #[must_use]
-    pub fn with_prebuilt_landmarks(self, index: Arc<LandmarkIndex>) -> Self {
-        assert_eq!(
-            index.num_nodes(),
-            self.core.context.graph().num_nodes(),
-            "prebuilt landmarks must cover the service's node set"
-        );
-        *self
-            .backends
-            .landmark
-            .lock()
-            .expect("landmark slot poisoned") = Some(index);
-        self
-    }
-
     /// The INDEX backend if it has been built (or installed pre-built);
     /// never triggers a build. The extraction side of epoch handover: the
     /// dynamic service peeks here to harvest resident columns before a
@@ -340,16 +308,6 @@ impl ResistanceService {
             .index
             .lock()
             .expect("index slot poisoned")
-            .clone()
-    }
-
-    /// The LANDMARK backend if it has been built (or installed pre-built);
-    /// never triggers a build.
-    pub fn landmark_backend(&self) -> Option<Arc<LandmarkIndex>> {
-        self.backends
-            .landmark
-            .lock()
-            .expect("landmark slot poisoned")
             .clone()
     }
 
@@ -744,9 +702,8 @@ impl ResistanceService {
     /// Answers the distinct pairs of one call with the chosen backend;
     /// `streams[i]` is the content-derived RNG stream of `pairs[i]`. The
     /// sampling prototypes are free to construct and are rebuilt per call so
-    /// they pick up the request's accuracy target; the index, landmark,
-    /// dense-exact and RP backends carry expensive preprocessing and are
-    /// memoized.
+    /// they pick up the request's accuracy target; the index, dense-exact
+    /// and RP backends carry expensive preprocessing and are memoized.
     fn answer_pairs(
         &self,
         choice: BackendChoice,
@@ -782,10 +739,6 @@ impl ResistanceService {
                 forked(&tpc, pairs, streams, threads)?
             }
             BackendChoice::Rp => forked(self.rp(cfg)?.as_ref(), pairs, streams, threads)?,
-            BackendChoice::Mc => {
-                let mc = budgeted(Mc::new(ctx, cfg), budget, Mc::with_walk_budget);
-                forked(&mc, pairs, streams, threads)?
-            }
             BackendChoice::Mc2 => {
                 let mc2 = budgeted(Mc2::new(ctx, cfg), budget, Mc2::with_walk_budget);
                 forked(&mc2, pairs, streams, threads)?
@@ -810,18 +763,6 @@ impl ResistanceService {
                     shared_cost: solves_since(&index, solves_before),
                 }
             }
-            // Landmark bounds cost no solves and no walks: O(k) per pair.
-            BackendChoice::Landmark => {
-                let landmarks = self.landmarks()?;
-                GeerBatchRun {
-                    values: pairs
-                        .iter()
-                        .map(|&(s, t)| landmarks.estimate(s, t))
-                        .collect::<Result<_, _>>()?,
-                    item_costs: vec![CostBreakdown::default(); pairs.len()],
-                    shared_cost: CostBreakdown::default(),
-                }
-            }
         })
     }
 
@@ -836,21 +777,6 @@ impl ResistanceService {
             )?;
             self.backends.index_ready.store(true, Ordering::Release);
             Ok(index)
-        })
-    }
-
-    /// The LANDMARK tier, built on first use over the INDEX tier's
-    /// diagonal. A LANDMARK build therefore builds the INDEX tier first if
-    /// it is missing, which sets `index_ready`; the landmark columns stay
-    /// out of the INDEX column cache.
-    fn landmarks(&self) -> Result<Arc<LandmarkIndex>, ServiceError> {
-        memoized(&self.backends.landmark, || {
-            Ok(LandmarkIndex::build(
-                self.index()?.as_ref(),
-                self.core.landmark_count,
-                LandmarkSelection::Mixed,
-                self.core.config.seed,
-            )?)
         })
     }
 
@@ -1059,7 +985,6 @@ mod tests {
             BackendChoice::Amc,
             BackendChoice::Smm,
             BackendChoice::Rp,
-            BackendChoice::Landmark,
         ] {
             let err = s.submit(&exact(choice)).unwrap_err();
             assert!(
@@ -1245,13 +1170,11 @@ mod tests {
             BackendChoice::Tp,
             BackendChoice::Tpc,
             BackendChoice::Rp,
-            BackendChoice::Mc,
             BackendChoice::Mc2,
             BackendChoice::Hay,
             BackendChoice::ExactDense,
             BackendChoice::ExactCg,
             BackendChoice::Index,
-            BackendChoice::Landmark,
         ] {
             for query in &queries {
                 let shape = query.shape();
@@ -1366,38 +1289,6 @@ mod tests {
         assert_eq!(prefix.backend, "GEER");
         assert_eq!(prefix.cost.random_walks, 0);
         assert!(prefix.values.iter().all(|&v| v > 0.0));
-    }
-
-    /// LANDMARK builds on the INDEX tier's diagonal: a LANDMARK build makes
-    /// INDEX ready without caching the landmark columns there, and an
-    /// installed index with a shifted diagonal moves the landmark answers.
-    #[test]
-    fn landmarks_build_on_the_index_tier() {
-        let g = generators::social_network_like(150, 8.0, 7).unwrap();
-        let landmark = |s: &ResistanceService| {
-            let request = Request::new(Query::pair(3, 140)).with_backend(BackendChoice::Landmark);
-            s.submit(&request).unwrap().value()
-        };
-        let fresh = ResistanceService::new(&g).unwrap();
-        assert!(!fresh.planner_state().index_ready);
-        let value = landmark(&fresh);
-        assert!(fresh.planner_state().index_ready);
-        let index = fresh.index_backend().unwrap();
-        assert!(index.resident_columns().is_empty());
-        assert_eq!(index.total_solves(), g.num_nodes() as u64);
-
-        let shifted = ErIndex::from_parts(
-            index.graph_arc().clone(),
-            index.diagonal().iter().map(|d| d + 0.5).collect(),
-            ErIndex::DEFAULT_COLUMN_CAPACITY,
-            Vec::new(),
-            0,
-        );
-        let prebuilt = ResistanceService::new(&g)
-            .unwrap()
-            .with_prebuilt_index(Arc::new(shifted));
-        let moved = landmark(&prebuilt);
-        assert!((moved - value).abs() > 0.1, "{moved} vs {value}");
     }
 
     #[test]

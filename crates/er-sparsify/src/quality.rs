@@ -20,6 +20,9 @@ use er_linalg::{LaplacianOp, LinearOperator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Seed of the evaluator's random test vectors and cuts.
+const PROBE_SEED: u64 = 0x9a11;
+
 /// Quality metrics of one sparsifier against its original graph.
 #[derive(Clone, Debug)]
 pub struct QualityReport {
@@ -57,7 +60,6 @@ pub struct QualityEvaluator<'g> {
     original: &'g Graph,
     test_vectors: usize,
     test_cuts: usize,
-    seed: u64,
 }
 
 impl<'g> QualityEvaluator<'g> {
@@ -67,7 +69,6 @@ impl<'g> QualityEvaluator<'g> {
             original,
             test_vectors: 25,
             test_cuts: 25,
-            seed: 0x9a11,
         }
     }
 
@@ -85,18 +86,11 @@ impl<'g> QualityEvaluator<'g> {
         self
     }
 
-    /// Overrides the probe RNG seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Evaluates `sparsifier` against the original graph.
     pub fn evaluate(&self, sparsifier: &WeightedGraph) -> QualityReport {
         assert_eq!(sparsifier.num_nodes(), self.original.num_nodes());
         let n = self.original.num_nodes();
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = StdRng::seed_from_u64(PROBE_SEED);
         let original_op = LaplacianOp::new(self.original);
         let sparse_op = WeightedLaplacianOp::new(sparsifier);
 

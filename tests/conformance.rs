@@ -15,6 +15,8 @@
 //! * HAY on a seeded set of graph edges, sent as one edge-set query at ε
 //!   through the GEER-routed planner (which sends ε edge sets to HAY) and
 //!   with the `Hay` override;
+//! * MC2 on the first five of those edges, as one edge-set query at ε with
+//!   the `Mc2` override, in release builds only (see below);
 //! * INDEX on one ε batch of distinct pairs from one source, which both the
 //!   default planner and the GEER-routed planner with a warm index send to
 //!   the index as a repeated-source batch;
@@ -49,13 +51,10 @@
 //!   unit test on a non-regular graph.
 //! * RP: its sketch costs `24 ln n / ε²` Laplacian solves before the first
 //!   answer.
-//! * MC: its trial count assumes `r(s, t) ≤ γ`, and its escape walks are
-//!   not truncated.
-//! * MC2 on edge sets: its trial count `3 ln(1/δ)/(ε²γ)` at the default
+//! * MC2 in debug builds: its trial count `3 ln(1/δ)/(ε²γ)` at the default
 //!   γ = 1/(2m) is `6m ln(1/δ)/ε²`, about 1.2 million first-hit walks per
-//!   edge of the BA graph.
-//! * LANDMARK: it answers the midpoint of triangle-inequality bounds and
-//!   makes no ε guarantee.
+//!   edge of the BA graph. Five edges per graph take about 12 s in release
+//!   on a 2-vCPU VM and minutes in debug.
 //! * AMC on the barbell: its walk count grows with the walk length, which
 //!   grows with 1/gap. One barbell pair took 60 s in a debug build. The
 //!   planner never sends ε requests on slow-mixing graphs to AMC; the
@@ -376,6 +375,27 @@ fn hay_edge_sets_meet_epsilon_at_rate_one_minus_delta() {
 }
 
 #[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "MC2 runs about 1.2 million first-hit walks per edge: 12 s in release on 2 vCPUs, minutes in debug"
+)]
+fn mc2_edge_sets_meet_epsilon_at_rate_one_minus_delta() {
+    let mut tally = EpsilonTally::default();
+    for case in cases() {
+        let edges = &case.edges[..5];
+        let request = Request::new(Query::edge_set(edges.to_vec()))
+            .with_accuracy(epsilon(EPS))
+            .with_backend(BackendChoice::Mc2);
+        let response = case.service().submit(&request).unwrap();
+        assert_eq!(response.backend, "MC2");
+        for (&edge, &value) in edges.iter().zip(&response.values) {
+            tally.check(case, edge, value, EPS);
+        }
+    }
+    tally.assert_rate("MC2");
+}
+
+#[test]
 fn index_served_epsilon_batches_match_ground_truth() {
     let size = PlannerConfig::default().repeated_source_threshold;
     for case in cases() {
@@ -559,11 +579,7 @@ fn coarse_epsilon_answers_never_serve_tighter_requests() {
 fn exact_with_a_sampling_override_is_a_typed_error() {
     let case = cases().iter().find(|c| c.name == "social").unwrap();
     let (s, t) = case.pairs[0];
-    for choice in [
-        BackendChoice::Geer,
-        BackendChoice::Amc,
-        BackendChoice::Landmark,
-    ] {
+    for choice in [BackendChoice::Geer, BackendChoice::Amc] {
         let request = pair(s, t, Accuracy::Exact).with_backend(choice);
         let err = case.service().submit(&request).unwrap_err();
         assert!(matches!(err, ServiceError::InvalidRequest { .. }), "{err}");

@@ -185,6 +185,13 @@ fn malformed_requests_map_to_4xx() {
     let (status, body) = post(&mut stream, "/query", r#"{"query":{"type":"warp"}}"#);
     assert_eq!(status, 400, "{body}");
     assert_eq!(error_kind(&body), "bad_request");
+    // The landmark bounds and MC are not served backends.
+    for backend in ["landmark", "mc"] {
+        let body = format!(r#"{{"query":{{"type":"pair","s":0,"t":1}},"backend":"{backend}"}}"#);
+        let (status, body) = post(&mut stream, "/query", &body);
+        assert_eq!(status, 400, "{backend}: {body}");
+        assert_eq!(error_kind(&body), "bad_request", "{backend}");
+    }
     let (status, body) = post(
         &mut stream,
         "/query",
