@@ -183,9 +183,7 @@ fn bench_point_query_backends(c: &mut Criterion) {
     // The index pays one CG solve per *new source*; cycling over the fixed
     // pair set measures the amortised per-query cost of the cached columns.
     group.bench_function("er_index_query", |b| {
-        let index = ErIndex::build(&graph)
-            .unwrap()
-            .with_column_capacity(pairs.len());
+        let index = ErIndex::build(&graph).unwrap();
         let mut i = 0;
         b.iter(|| {
             let (s, t) = pairs[i % pairs.len()];

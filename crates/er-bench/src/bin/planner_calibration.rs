@@ -1,14 +1,14 @@
 //! Planner-threshold calibration sweep: the CG-vs-GEER crossover per graph
 //! family.
 //!
-//! The service planner answers ε-target pair queries exactly (one CG solve)
-//! on graphs at or below `PlannerConfig::exact_node_threshold`, and by GEER
-//! sampling above it. That threshold (and `repeated_source_threshold`) was
-//! tuned blind; this sweep measures the actual per-pair latency of both
-//! backends — forced through the service front door, so the timing includes
-//! everything a real request pays — across sizes and graph families, and
-//! reports the empirical crossover so future PRs can tune
-//! [`PlannerConfig`](er_service::PlannerConfig) from data.
+//! The service planner answers ε-target pair queries on fast-mixing graphs
+//! exactly (one CG solve) at or below
+//! [`EXACT_NODE_THRESHOLD`](er_service::planner::EXACT_NODE_THRESHOLD)
+//! nodes, and by GEER sampling above it. This sweep measures the actual
+//! per-pair latency of both backends — forced through the service front
+//! door, so the timing includes everything a real request pays — across
+//! sizes and graph families, and reports the empirical crossover, the data
+//! that constant is set from.
 //!
 //! Output: one table row per (family, n) with per-pair milliseconds for
 //! EXACT-CG and GEER and the cheaper choice, then a per-family crossover
@@ -21,7 +21,7 @@
 use er_bench::args::BenchArgs;
 use er_core::ApproxConfig;
 use er_graph::{generators, Graph};
-use er_service::{Accuracy, BackendChoice, Query, Request, ResistanceService};
+use er_service::{planner, Accuracy, BackendChoice, Query, Request, ResistanceService};
 use std::time::Instant;
 
 struct Family {
@@ -125,12 +125,12 @@ fn main() {
             match crossover {
                 Some(n) => println!(
                     "==> {} @ eps {:.2}: GEER first wins at n = {} \
-                     (candidate exact_node_threshold)",
+                     (candidate EXACT_NODE_THRESHOLD)",
                     family.name, eps, n
                 ),
                 None => println!(
                     "==> {} @ eps {:.2}: EXACT-CG wins at every measured size \
-                     (exact_node_threshold could be raised past {})",
+                     (EXACT_NODE_THRESHOLD could be raised past {})",
                     family.name,
                     eps,
                     sizes.last().unwrap()
@@ -139,8 +139,10 @@ fn main() {
         }
     }
     println!(
-        "\ncurrent defaults: exact_node_threshold = {}, repeated_source_threshold = {}",
-        er_service::PlannerConfig::default().exact_node_threshold,
-        er_service::PlannerConfig::default().repeated_source_threshold
+        "\nplanner constants: EXACT_NODE_THRESHOLD = {}, REPEATED_SOURCE_THRESHOLD = {}, \
+         SLOW_MIXING_GAP = {}",
+        planner::EXACT_NODE_THRESHOLD,
+        planner::REPEATED_SOURCE_THRESHOLD,
+        planner::SLOW_MIXING_GAP
     );
 }

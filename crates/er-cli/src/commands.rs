@@ -229,8 +229,15 @@ pub fn query(graph: &Graph, args: &ParsedArgs) -> Result<String, String> {
 /// INDEX state by a Sherman–Morrison update (`sm-updates`) only once an
 /// epoch has built that state, which `?` pair queries never do. Counted
 /// mutations are the ones that changed the edge set: a duplicate insert, a
-/// self-loop or the delete of an absent edge is not counted.
+/// self-loop or the delete of an absent edge is not counted. The trace
+/// names every queried pair, so node ids on the command line are refused.
 fn query_stream(graph: &Graph, args: &ParsedArgs, path: &str) -> Result<String, String> {
+    if !args.positional.is_empty() {
+        return Err(format!(
+            "'query --stream' takes its pairs from the trace, not node ids '{}'",
+            args.positional.join(" ")
+        ));
+    }
     let config = approx_config(args)?;
     let accuracy = accuracy_from(args, &config)?;
     let interval: u64 = args.flag("refresh-interval", 64u64)?;
@@ -658,6 +665,10 @@ mod tests {
         assert!(out.contains("incremental) | service"), "{out}");
         // Pair queries never build the INDEX state Sherman–Morrison carries.
         assert!(out.contains("sm-updates 0 |"), "{out}");
+        // Node ids beside --stream are refused, not silently ignored.
+        let with_ids = format!("query 0 5 --stream {} --epsilon 0.2", path.display());
+        let err = query(&g, &args(&with_ids)).unwrap_err();
+        assert!(err.contains("'0 5'"), "{err}");
         // Unknown ops, a third token and unreadable traces are reported,
         // not panicked on.
         std::fs::write(&path, "! 0 1\n").unwrap();

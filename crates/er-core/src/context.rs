@@ -129,8 +129,8 @@ impl GraphContext {
     ///
     /// Because [`lambda`](Self::lambda) is clamped into
     /// `(1e-9, 1 − 1e-9)` at preprocessing time, the gap is always inside
-    /// `(1e-9, 1 − 1e-9)` too — callers (notably the planner's
-    /// `lambda_gap_threshold` rule) can compare it against thresholds without
+    /// `(1e-9, 1 − 1e-9)` too — callers (notably the service planner's
+    /// slow-mixing rule) can compare it against thresholds without
     /// re-deriving anything from `lambda2`/`lambda_n` or handling 0/1
     /// degenerate values. Small gap ⇒ slow mixing (long walks, GEER's Monte
     /// Carlo tail is expensive); large gap ⇒ fast mixing.

@@ -211,7 +211,8 @@ impl GeerBatch {
             item_costs: vec![CostBreakdown::default(); pairs.len()],
             shared_cost: CostBreakdown::default(),
         };
-        for chunk in plan_chunks(pairs, n) {
+        let workers = par::resolve_threads(fanout_threads).max(1);
+        for chunk in plan_chunks(pairs, n, workers) {
             self.run_chunk(&chunk, pairs, streams, fanout_threads, &mut run);
         }
         Ok(run)
@@ -398,11 +399,44 @@ fn chunk_vector_budget(n: usize) -> usize {
 /// that share their most popular endpoint together so the lockstep loop can
 /// actually share lanes. Trivial `s == t` pairs never appear in any chunk
 /// (their value is 0 with zero cost, as in the solo estimator).
-fn plan_chunks(pairs: &[(NodeId, NodeId)], n: usize) -> Vec<Vec<usize>> {
+///
+/// Pairs linked by shared endpoints (one component) stay adjacent. With one
+/// worker a chunk holds one component: components share no lane, and on one
+/// thread nothing runs across them, so holding several at once would only
+/// raise the peak frontier memory, to a height set by how many unrelated
+/// pairs a caller happened to batch. With more workers a chunk fills up to
+/// the vector budget, so every round has lanes and tails for each thread.
+fn plan_chunks(pairs: &[(NodeId, NodeId)], n: usize, workers: usize) -> Vec<Vec<usize>> {
     let mut frequency: HashMap<NodeId, usize> = HashMap::new();
-    for &(s, t) in pairs.iter().filter(|&&(s, t)| s != t) {
+    let mut touching: HashMap<NodeId, Vec<usize>> = HashMap::new();
+    for (idx, &(s, t)) in pairs.iter().enumerate().filter(|&(_, &(s, t))| s != t) {
         *frequency.entry(s).or_insert(0) += 1;
         *frequency.entry(t).or_insert(0) += 1;
+        touching.entry(s).or_default().push(idx);
+        touching.entry(t).or_default().push(idx);
+    }
+    // Component of each non-trivial pair: a search over shared endpoints
+    // that expands each endpoint once.
+    let mut component = vec![usize::MAX; pairs.len()];
+    let mut components = 0;
+    for (start, &(s, t)) in pairs.iter().enumerate() {
+        if s == t || component[start] != usize::MAX {
+            continue;
+        }
+        component[start] = components;
+        let mut stack = vec![start];
+        while let Some(idx) = stack.pop() {
+            let (s, t) = pairs[idx];
+            for node in [s, t] {
+                for next in touching.remove(&node).unwrap_or_default() {
+                    if component[next] == usize::MAX {
+                        component[next] = components;
+                        stack.push(next);
+                    }
+                }
+            }
+        }
+        components += 1;
     }
     // Bucket by anchor endpoint (the more frequent one; ties to the smaller
     // id) and visit popular anchors first, so heavily shared endpoints end up
@@ -422,12 +456,28 @@ fn plan_chunks(pairs: &[(NodeId, NodeId)], n: usize) -> Vec<Vec<usize>> {
     }
     let mut order: Vec<(NodeId, Vec<usize>)> = buckets.into_iter().collect();
     order.sort_by(|a, b| b.1.len().cmp(&a.1.len()).then(a.0.cmp(&b.0)));
+    // Each component at the place of its most popular bucket (the sort is
+    // stable, so buckets keep their order within a component).
+    let mut first_at = vec![usize::MAX; components];
+    for (at, (_, bucket)) in order.iter().enumerate() {
+        let first = &mut first_at[component[bucket[0]]];
+        *first = (*first).min(at);
+    }
+    order.sort_by_key(|(_, bucket)| first_at[component[bucket[0]]]);
 
     let budget = chunk_vector_budget(n);
     let mut chunks: Vec<Vec<usize>> = Vec::new();
     let mut current: Vec<usize> = Vec::new();
     let mut current_sources: std::collections::HashSet<NodeId> = std::collections::HashSet::new();
     for (_, bucket) in order {
+        let other_component = current
+            .first()
+            .is_some_and(|&idx| component[idx] != component[bucket[0]]);
+        if workers == 1 && other_component {
+            current.sort_unstable();
+            chunks.push(std::mem::take(&mut current));
+            current_sources.clear();
+        }
         for idx in bucket {
             let (s, t) = pairs[idx];
             current_sources.insert(s);
@@ -570,6 +620,15 @@ mod tests {
                 "pair {i}"
             );
         }
+    }
+
+    #[test]
+    fn one_worker_holds_one_component_per_chunk() {
+        // {0, 100, 150, 7} is one component through 100; (33, 34) shares
+        // nothing; (5, 5) is trivial and never chunked.
+        let pairs = [(0, 100), (33, 34), (7, 100), (5, 5), (0, 150)];
+        assert_eq!(plan_chunks(&pairs, 1_000, 1), vec![vec![0, 2, 4], vec![1]]);
+        assert_eq!(plan_chunks(&pairs, 1_000, 2), vec![vec![0, 1, 2, 4]]);
     }
 
     #[test]

@@ -44,11 +44,11 @@ impl Hay {
         self
     }
 
-    /// Number of spanning trees the Hoeffding bound requires:
-    /// `⌈ln(2/δ) / (2ε²)⌉`.
-    pub fn trees_required(&self) -> u64 {
-        let eps = self.config.epsilon;
-        ((2.0 / self.config.delta).ln() / (2.0 * eps * eps))
+    /// Number of spanning trees the Hoeffding bound requires for an
+    /// additive `epsilon` with probability at least `1 − delta`:
+    /// `⌈ln(2/δ) / (2ε²)⌉`, at least 1.
+    pub fn trees_required(epsilon: f64, delta: f64) -> u64 {
+        ((2.0 / delta).ln() / (2.0 * epsilon * epsilon))
             .ceil()
             .max(1.0) as u64
     }
@@ -78,7 +78,7 @@ impl ResistanceEstimator for Hay {
         if !g.has_edge(s, t) {
             return Err(EstimatorError::NotAnEdge { s, t });
         }
-        let mut trees = self.trees_required();
+        let mut trees = Self::trees_required(self.config.epsilon, self.config.delta);
         if let Some(budget) = self.tree_budget {
             trees = trees.min(budget.max(1));
         }
@@ -136,10 +136,9 @@ mod tests {
 
     #[test]
     fn tree_count_follows_hoeffding() {
-        let g = generators::complete(6).unwrap();
-        let ctx = GraphContext::preprocess(&g).unwrap();
-        let coarse = Hay::new(&ctx, ApproxConfig::with_epsilon(0.5)).trees_required();
-        let fine = Hay::new(&ctx, ApproxConfig::with_epsilon(0.05)).trees_required();
+        let delta = ApproxConfig::default().delta;
+        let coarse = Hay::trees_required(0.5, delta);
+        let fine = Hay::trees_required(0.05, delta);
         // 1/eps^2 scaling, up to the ceilings applied to both counts
         assert!(
             fine >= 90 * coarse && fine <= 100 * coarse,

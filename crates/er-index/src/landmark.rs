@@ -93,7 +93,6 @@ impl LandmarkIndex {
         let columns = ErIndex::from_parts(
             index.graph_arc().clone(),
             index.diagonal().to_vec(),
-            landmarks.len(),
             Vec::new(),
             0,
         );

@@ -53,11 +53,11 @@ impl Columns {
     }
 
     /// The cell of column `s`, inserting an empty one if it is absent.
-    fn cell_or_insert(&mut self, s: NodeId, capacity: usize) -> ColumnCell {
+    fn cell_or_insert(&mut self, s: NodeId) -> ColumnCell {
         if let Some((_, cell)) = self.cells.get(&s) {
             return cell.clone();
         }
-        if self.cells.len() >= capacity {
+        if self.cells.len() >= ErIndex::COLUMN_CAPACITY {
             // Evict the oldest *solved* column; the cache is a working set,
             // not an LRU — sources in this access pattern repeat immediately
             // or not at all. Readers holding the evicted column keep their
@@ -91,20 +91,20 @@ impl Columns {
 /// `OnceLock`. Concurrent requests for different columns therefore solve in
 /// parallel, and concurrent requests for the same column solve it exactly
 /// once. Values are deterministic CG solves, so concurrency changes
-/// throughput only. At capacity the oldest solved column is evicted (first
-/// in, first out), so the resident set is a function of the query sequence.
+/// throughput only. Once [`COLUMN_CAPACITY`](Self::COLUMN_CAPACITY) columns
+/// are resident the oldest solved column is evicted (first in, first out),
+/// so the resident set is a function of the query sequence.
 pub struct ErIndex {
     graph: Arc<Graph>,
     diagonal: Vec<f64>,
     columns: RwLock<Columns>,
-    column_capacity: usize,
     build_solves: u64,
     column_solves: AtomicU64,
 }
 
 impl ErIndex {
-    /// Default number of pseudo-inverse columns kept in the cache.
-    pub const DEFAULT_COLUMN_CAPACITY: usize = 64;
+    /// Number of pseudo-inverse columns kept in the cache.
+    pub const COLUMN_CAPACITY: usize = 64;
 
     /// Builds the index: `O(n)` CG solves for the diagonal, fanned out over
     /// all cores; intended for graphs up to a few thousand nodes.
@@ -122,13 +122,7 @@ impl ErIndex {
         analysis::validate_ergodic(&graph)?;
         let diagonal = pseudo_inverse_diagonal(&graph, threads);
         let solves = graph.num_nodes() as u64;
-        Ok(Self::from_parts(
-            graph,
-            diagonal,
-            Self::DEFAULT_COLUMN_CAPACITY,
-            Vec::new(),
-            solves,
-        ))
+        Ok(Self::from_parts(graph, diagonal, Vec::new(), solves))
     }
 
     /// Reassembles an index from previously extracted parts. `diagonal`
@@ -144,7 +138,6 @@ impl ErIndex {
     pub fn from_parts(
         graph: Arc<Graph>,
         diagonal: Vec<f64>,
-        column_capacity: usize,
         columns: Vec<(NodeId, Vec<f64>)>,
         build_solves: u64,
     ) -> Self {
@@ -159,17 +152,9 @@ impl ErIndex {
             graph,
             diagonal,
             columns: RwLock::new(cells),
-            column_capacity: column_capacity.max(1),
             build_solves,
             column_solves: AtomicU64::new(0),
         }
-    }
-
-    /// Sets how many pseudo-inverse columns are cached (at least 1).
-    #[must_use]
-    pub fn with_column_capacity(mut self, capacity: usize) -> Self {
-        self.column_capacity = capacity.max(1);
-        self
     }
 
     /// The graph the index answers queries about.
@@ -205,11 +190,6 @@ impl ErIndex {
         self.build_solves
     }
 
-    /// The configured column-cache capacity.
-    pub fn column_capacity(&self) -> usize {
-        self.column_capacity
-    }
-
     /// The currently resident columns `(s, L† e_s)`, sorted by source; the
     /// extraction side of [`from_parts`](Self::from_parts). Columns still
     /// being solved are skipped.
@@ -241,7 +221,7 @@ impl ErIndex {
                 .columns
                 .write()
                 .unwrap_or_else(|e| e.into_inner())
-                .cell_or_insert(s, self.column_capacity),
+                .cell_or_insert(s),
         };
         cell.get_or_init(|| {
             let solver = LaplacianSolver::for_ground_truth(&self.graph);
@@ -375,47 +355,58 @@ mod tests {
 
     #[test]
     fn column_cache_respects_capacity() {
-        let g = generators::complete(30).unwrap();
-        let index = ErIndex::build(&g).unwrap().with_column_capacity(2);
-        index.resistance(0, 1).unwrap();
-        index.resistance(2, 3).unwrap();
-        index.resistance(4, 5).unwrap();
-        assert!(index.resident_columns().len() <= 2);
-        assert!(index.total_solves() >= 33, "30 build solves + 3 columns");
+        let cap = ErIndex::COLUMN_CAPACITY;
+        let g = generators::complete(70).unwrap();
+        let index = ErIndex::build(&g).unwrap();
+        for s in 0..=cap {
+            index.resistance(s, 69).unwrap();
+        }
+        assert_eq!(index.resident_columns().len(), cap);
+        assert_eq!(
+            index.total_solves(),
+            70 + cap as u64 + 1,
+            "70 build solves + one per source"
+        );
     }
 
     #[test]
     fn column_eviction_is_first_in_first_out() {
-        let g = generators::complete(12).unwrap();
+        let cap = ErIndex::COLUMN_CAPACITY;
+        let g = generators::complete(70).unwrap();
         for _ in 0..16 {
             // A fresh map per index, each with its own hash seed: the victim
             // must not depend on iteration order.
-            let index = ErIndex::build(&g).unwrap().with_column_capacity(2);
-            for s in [2, 0, 1] {
+            let index = ErIndex::build(&g).unwrap();
+            for s in std::iter::once(cap).chain(0..cap) {
                 index.single_source(s).unwrap();
             }
             let resident: Vec<NodeId> = index.resident_columns().iter().map(|&(s, _)| s).collect();
-            assert_eq!(resident, [0, 1], "source 2 entered first and leaves first");
+            assert_eq!(
+                resident,
+                (0..cap).collect::<Vec<_>>(),
+                "source {cap} entered first and leaves first"
+            );
         }
     }
 
     #[test]
     fn from_parts_keeps_capacity_and_warm_columns() {
-        let g = generators::social_network_like(120, 8.0, 3).unwrap();
-        let index = ErIndex::build(&g).unwrap().with_column_capacity(7);
-        index.resistance(5, 40).unwrap(); // warms column 5
+        let cap = ErIndex::COLUMN_CAPACITY;
+        let g = generators::complete(70).unwrap();
+        let index = ErIndex::build(&g).unwrap();
+        for s in 0..cap {
+            index.resistance(s, 69).unwrap(); // warms column s
+        }
         let warm_solves = index.total_solves();
         // Reassembly from extracted parts (the dynamic service's carry)
-        // keeps the capacity and the warm column without solving.
+        // keeps every warm column without solving.
         let carried = ErIndex::from_parts(
             index.graph_arc().clone(),
             index.diagonal().to_vec(),
-            index.column_capacity(),
             index.resident_columns(),
             warm_solves,
         );
         assert_eq!(carried.total_solves(), warm_solves, "no solves on handoff");
-        assert_eq!(carried.column_capacity(), 7);
         let pair = carried.resistance(5, 40).unwrap();
         assert_eq!(
             carried.total_solves(),
@@ -423,9 +414,12 @@ mod tests {
             "a pre-warmed column must not be re-solved"
         );
         assert_eq!(pair.to_bits(), index.resistance(5, 40).unwrap().to_bits());
-        // A cold column still solves exactly once.
-        carried.resistance(9, 40).unwrap();
+        // The carried cache is full: a cold column solves exactly once and
+        // evicts the first carried column.
+        carried.resistance(cap, 40).unwrap();
         assert_eq!(carried.total_solves(), warm_solves + 1);
+        let resident: Vec<NodeId> = carried.resident_columns().iter().map(|&(s, _)| s).collect();
+        assert_eq!(resident, (1..=cap).collect::<Vec<_>>());
     }
 
     #[test]

@@ -63,6 +63,7 @@ pub const MIN_DELETE_DENOMINATOR: f64 = 1e-6;
 #[derive(Clone, Debug)]
 pub struct RankOneUpdate {
     w: Vec<f64>,
+    /// The Sherman–Morrison denominator `1 ± r(u, v)`.
     den: f64,
     /// `+1.0` for an insertion (`L' = L + b bᵀ`), `−1.0` for a deletion.
     sign: f64,
@@ -109,16 +110,6 @@ impl RankOneUpdate {
         })
     }
 
-    /// The Sherman–Morrison denominator `1 ± r(u, v)`.
-    pub fn denominator(&self) -> f64 {
-        self.den
-    }
-
-    /// The solve vector `w = L⁺ b_e` the update was built from.
-    pub fn w(&self) -> &[f64] {
-        &self.w
-    }
-
     /// Updates a resident L⁺ column (or any vector of the form `L⁺ y`) in
     /// place: `x' = x − σ · ((x[u] − x[v]) / den) · w`. `O(n)`; a centred
     /// input stays centred because `w` is centred.
@@ -157,7 +148,7 @@ mod tests {
         assert!(!g.has_edge(u, v));
         let w = solve_b(&g, u, v);
         let update = RankOneUpdate::for_insert(w, u, v);
-        assert!(update.denominator() > 1.0);
+        assert!(update.den > 1.0, "insertion denominator 1 + r(u, v)");
 
         // Maintain the column of node 12 and L⁺(e_7 − e_40), whose
         // difference at 7 and 40 is r(7, 40).

@@ -17,7 +17,7 @@
 
 use crate::query::Accuracy;
 use er_core::{
-    ApproxConfig, CostBreakdown, EstimatorError, ForkableEstimator, GeerBatchRun, GraphContext,
+    ApproxConfig, CostBreakdown, EstimatorError, ForkableEstimator, GeerBatchRun, GraphContext, Hay,
 };
 use er_graph::NodeId;
 use er_walks::par;
@@ -58,7 +58,7 @@ pub(crate) fn forked<E: ForkableEstimator>(
 }
 
 /// Number of spanning trees HAY samples: the Hoeffding count
-/// `⌈ln(2/δ) / (2ε²)⌉` for ε-targets, the budget itself for
+/// [`Hay::trees_required`] for ε-targets, the budget itself for
 /// [`Accuracy::WalkBudget`].
 fn hay_trees(accuracy: Accuracy, config: ApproxConfig) -> u64 {
     let (eps, delta) = match accuracy {
@@ -68,7 +68,7 @@ fn hay_trees(accuracy: Accuracy, config: ApproxConfig) -> u64 {
         // backend, and the service refuses a HAY override of it.
         Accuracy::Exact => (config.epsilon, config.delta),
     };
-    ((2.0 / delta).ln() / (2.0 * eps * eps)).ceil().max(1.0) as u64
+    Hay::trees_required(eps, delta)
 }
 
 /// Batch-native HAY: samples one pool of uniform spanning trees (Wilson's
@@ -227,7 +227,7 @@ mod tests {
             eps: 0.2,
             delta: 0.01,
         };
-        let hoeffding = hay_trees(accuracy, config);
+        let hoeffding = Hay::trees_required(0.2, 0.01);
         assert!(hoeffding > 1);
 
         let g = context.graph();

@@ -1,7 +1,7 @@
 //! Query shapes.
 //!
 //! [`BackendChoice::answers`](crate::BackendChoice::answers) says which
-//! shapes each backend can answer; the [`Planner`](crate::Planner) only
+//! shapes each backend can answer; the [`planner`](crate::planner) only
 //! routes a query to a backend that answers its shape, and an explicit
 //! backend override is rejected up front when it does not.
 

@@ -89,8 +89,6 @@ struct CarriedState {
     diagonal: Vec<f64>,
     /// Resident L⁺ columns, keyed by source node.
     columns: Vec<(NodeId, Vec<f64>)>,
-    /// Column-cache capacity of the harvested index.
-    column_capacity: usize,
     /// Build solve count of the harvested index (for cost accounting).
     build_solves: u64,
 }
@@ -250,7 +248,6 @@ impl DynamicResistanceService {
         inner.carried = Some(CarriedState {
             diagonal: index.diagonal().to_vec(),
             columns: index.resident_columns(),
-            column_capacity: index.column_capacity(),
             build_solves: index.build_solves(),
         });
     }
@@ -444,7 +441,6 @@ impl DynamicResistanceService {
             let index = ErIndex::from_parts(
                 graph,
                 carried.diagonal.clone(),
-                carried.column_capacity,
                 carried.columns.clone(),
                 carried.build_solves,
             );

@@ -5,9 +5,9 @@
 //! shape, the accuracy target and the graph — its Section 5 harness picks a
 //! method per `(ε, workload)` point. This crate turns that observation into
 //! an API: callers submit typed requests to one front door, the
-//! [`ResistanceService`], and a [`Planner`] routes each request to the
-//! cheapest [`BackendChoice`] that [answers](BackendChoice::answers) its
-//! shape.
+//! [`ResistanceService`], and the [`planner`]'s routing table sends each
+//! request to the cheapest [`BackendChoice`] that
+//! [answers](BackendChoice::answers) its shape.
 //!
 //! * [`Query`] — what is asked: `Pair`, `Batch`, `SingleSource`, `Diagonal`,
 //!   `EdgeSet` or `TopK`.
@@ -76,9 +76,7 @@ pub mod session;
 pub use capability::QueryShape;
 pub use dynamic::{DynamicResistanceService, ServiceEpoch};
 pub use error::ServiceError;
-pub use planner::{
-    dominant_source_count, BackendChoice, GraphSignals, Planner, PlannerConfig, PlannerState,
-};
+pub use planner::BackendChoice;
 pub use query::{Accuracy, Query, Request};
 pub use response::Response;
 pub use server::{ResistanceServer, ServerConfig, ServerHandle, ServerStats};

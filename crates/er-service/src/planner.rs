@@ -1,11 +1,12 @@
-//! Capability- and cost-based query planning.
+//! Cost-based query routing.
 //!
 //! The paper's Section 5 evaluation shows no single estimator dominates: the
 //! cheapest method depends on the query shape (arbitrary pair vs. edge vs.
-//! one-source-many-targets), the accuracy target and the graph size. The
-//! [`Planner`] encodes those trade-offs as explicit, testable routing rules;
-//! [`ResistanceService`](crate::ResistanceService) consults it per request
-//! unless the caller forces a backend.
+//! one-source-many-targets), the accuracy target and the graph. One routing
+//! function encodes those trade-offs;
+//! [`ResistanceService::plan`](crate::ResistanceService::plan) calls it per
+//! request with the graph's node count, its spectral gap and whether the
+//! INDEX tier is built, unless the caller forces a backend.
 //!
 //! Routing rules (first match wins):
 //!
@@ -14,22 +15,23 @@
 //!    solve answers a whole row, which no pairwise sampler can match.
 //! 2. `Accuracy::Exact` pair queries go to the index when it is already
 //!    built (marginal cost: one cached column) or when the batch re-uses one
-//!    source heavily; otherwise to EXACT-CG, one conjugate-gradient solve per
-//!    pair with no preprocessing.
+//!    source heavily on a graph of at most [`EXACT_NODE_THRESHOLD`] nodes;
+//!    otherwise to EXACT-CG, one conjugate-gradient solve per pair with no
+//!    preprocessing.
 //! 3. `Accuracy::Epsilon` batches that re-use one source at least
-//!    [`PlannerConfig::repeated_source_threshold`] times go to the index once
-//!    it exists (repeated-source workloads amortise its columns).
+//!    [`REPEATED_SOURCE_THRESHOLD`] times go to the index once it exists
+//!    (repeated-source workloads amortise its columns).
 //! 4. `Accuracy::Epsilon` pair/batch queries route on the **spectral gap**
-//!    `1 − λ` reported by [`GraphSignals::lambda`]: a gap below
-//!    [`PlannerConfig::lambda_gap_threshold`] marks a slow-mixing graph
-//!    (long refined walk lengths, expensive Monte Carlo tails — the regime
-//!    the `planner_calibration` sweep showed is CG-bound regardless of
-//!    size), so the query is answered exactly (EXACT-CG; the index when a
-//!    repeated-source batch makes building it worthwhile on a graph at or
-//!    below [`PlannerConfig::exact_node_threshold`] nodes). Node count is
-//!    only the fallback signal: graphs at or below `exact_node_threshold`
-//!    take the same exact tier even when fast-mixing (or when λ is
-//!    unknown), because a CG solve undercuts sampling outright at that
+//!    `1 − λ` of
+//!    [`GraphContext::spectral_gap`](er_core::GraphContext::spectral_gap): a
+//!    gap below [`SLOW_MIXING_GAP`] marks a slow-mixing graph (long refined
+//!    walk lengths, expensive Monte Carlo tails — the regime the
+//!    `planner_calibration` sweep showed is CG-bound regardless of size), so
+//!    the query is answered exactly (EXACT-CG; the index when a
+//!    repeated-source batch makes building it worthwhile on a graph of at
+//!    most [`EXACT_NODE_THRESHOLD`] nodes). Graphs at or below
+//!    [`EXACT_NODE_THRESHOLD`] nodes take the same exact tier even when
+//!    fast-mixing, because a CG solve undercuts sampling outright at that
 //!    size.
 //! 5. Remaining `Accuracy::Epsilon` queries are fast-mixing and large: edge
 //!    sets go to the batch-native HAY backend (one pool of spanning trees
@@ -43,16 +45,35 @@
 //!    not cover one AMC batch; AMC alone refuses such a budget with
 //!    `BudgetExceeded`.
 //!
-//! The spectral signal reaches the planner through [`GraphSignals`]: the
-//! service fills it from
-//! [`GraphContext::spectral_gap`](er_core::GraphContext::spectral_gap) (the
-//! documented clamped accessor), callers routing without a preprocessed
-//! context use [`GraphSignals::of_nodes`] and get the node-count fallback.
+//! The three thresholds are constants, calibrated by the
+//! `planner_calibration` sweep
+//! (`cargo run --release -p er-bench --bin planner_calibration`) and a
+//! spectral probe over the generator families.
 
 use crate::capability::QueryShape;
 use crate::query::{Accuracy, Query};
 use er_graph::NodeId;
 use std::collections::HashMap;
+
+/// At or below this many nodes a CG solve per query is cheaper than any
+/// sampling scheme, so ε requests are answered exactly. Below this size CG
+/// undercuts sampling on every family the `planner_calibration` sweep
+/// covers, while fast-mixing graphs above it flip to GEER; slow-mixing
+/// graphs stay exact at any size through [`SLOW_MIXING_GAP`].
+pub const EXACT_NODE_THRESHOLD: usize = 256;
+
+/// A batch whose most frequent endpoint appears in at least this many
+/// distinct pairs counts as a repeated-source workload.
+pub const REPEATED_SOURCE_THRESHOLD: usize = 16;
+
+/// Spectral gaps `1 − λ` strictly below this mark the graph slow-mixing: ε
+/// pair/batch queries are answered exactly (EXACT-CG/INDEX) no matter the
+/// node count, because the refined walk length — and with it GEER's whole
+/// sampling budget — scales like `1/gap`. Social-network-like and
+/// Barabási–Albert graphs sit at a gap of ≈ 0.38–0.46 across sizes, while
+/// Watts–Strogatz small-world rings sit at ≈ 0.02–0.03, so 0.1 separates
+/// the families cleanly.
+pub const SLOW_MIXING_GAP: f64 = 0.1;
 
 /// The backends the service can route to. The first ten wrap the er-core
 /// estimators one-to-one; the last wraps the er-index column index.
@@ -151,212 +172,68 @@ impl BackendChoice {
     }
 }
 
-/// What the planner knows about the *graph* when routing: the node count
-/// plus, when a preprocessed [`GraphContext`](er_core::GraphContext) is at
-/// hand, the spectral radius λ of the transition matrix that drives the
-/// spectral-gap rule (rule 4 of the module docs).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct GraphSignals {
-    /// Number of nodes in the graph.
-    pub nodes: usize,
-    /// `λ = max{|λ₂|, |λₙ|}` as reported by
-    /// [`GraphContext::lambda`](er_core::GraphContext::lambda) (clamped into
-    /// `(0, 1)` there); `None` when no spectral preprocessing is available,
-    /// which disables the gap rule and falls back to node count.
-    pub lambda: Option<f64>,
-}
-
-impl GraphSignals {
-    /// Signals with node count only — the spectral rule is skipped.
-    pub fn of_nodes(nodes: usize) -> GraphSignals {
-        GraphSignals {
-            nodes,
-            lambda: None,
-        }
-    }
-
-    /// Attaches the spectral radius λ from a preprocessed context.
-    #[must_use]
-    pub fn with_lambda(mut self, lambda: f64) -> GraphSignals {
-        self.lambda = Some(lambda);
-        self
-    }
-
-    /// Whether the graph mixes slowly under the given gap threshold:
-    /// `1 − λ < gap_threshold`. Unknown λ is never considered slow (the
-    /// planner then falls back to node count alone).
-    pub fn is_slow_mixing(&self, gap_threshold: f64) -> bool {
-        self.lambda
-            .map(|lambda| 1.0 - lambda < gap_threshold)
-            .unwrap_or(false)
-    }
-}
-
-/// What the planner can observe about the service when routing (planning is
-/// stateful: an already-built index changes the cheapest choice).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PlannerState {
-    /// Whether the service has already paid for its [`ErIndex`] tier
-    /// (diagonal + column cache), making index answers marginally free.
-    ///
-    /// [`ErIndex`]: er_index::ErIndex
-    pub index_ready: bool,
-}
-
-/// The planner's tunable thresholds.
+/// Routes a query to the cheapest capable backend under the given accuracy
+/// target. `nodes` is the graph's node count, `gap` its spectral gap
+/// `1 − λ`, and `index_ready` whether the service has already paid for its
+/// [`ErIndex`](er_index::ErIndex) tier (diagonal + column cache), which
+/// makes index answers marginally free.
 ///
-/// The defaults are calibrated from the `planner_calibration` sweep
-/// (`cargo run --release -p er-bench --bin planner_calibration`) and a
-/// spectral probe over the generator families: social-network-like and
-/// Barabási–Albert graphs sit at a gap of ≈ 0.38–0.46 across sizes, while
-/// Watts–Strogatz small-world rings sit at ≈ 0.02–0.03 — a
-/// `lambda_gap_threshold` of 0.1 separates the families cleanly. With the
-/// spectral rule carrying the slow-mixing cases, the node-count fallback
-/// drops to 256: below that size CG undercuts sampling on every family the
-/// sweep covers, while fast-mixing graphs above it flip to GEER.
-///
-/// ```
-/// use er_service::{Planner, PlannerConfig};
-///
-/// let config = PlannerConfig::default()
-///     .with_exact_node_threshold(2048)
-///     .with_repeated_source_threshold(8)
-///     .with_lambda_gap_threshold(0.05);
-/// let planner = Planner::new(config);
-/// assert_eq!(planner.config().exact_node_threshold, 2048);
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PlannerConfig {
-    /// At or below this many nodes, a CG solve per query is cheaper than any
-    /// sampling scheme, so ε-accuracy requests are answered exactly. This is
-    /// the *fallback* size signal; the spectral-gap rule below dominates it
-    /// when λ is known.
-    pub exact_node_threshold: usize,
-    /// A batch whose most frequent endpoint appears in at least this many
-    /// distinct pairs counts as a repeated-source workload.
-    pub repeated_source_threshold: usize,
-    /// Spectral gaps `1 − λ` strictly below this mark the graph slow-mixing:
-    /// ε pair/batch queries are answered exactly (EXACT-CG/INDEX) no matter
-    /// the node count, because the refined walk length — and with it GEER's
-    /// whole sampling budget — scales like `1/gap`.
-    pub lambda_gap_threshold: f64,
-}
-
-impl Default for PlannerConfig {
-    fn default() -> Self {
-        PlannerConfig {
-            exact_node_threshold: 256,
-            repeated_source_threshold: 16,
-            lambda_gap_threshold: 0.1,
-        }
-    }
-}
-
-impl PlannerConfig {
-    /// Sets the node count at or below which ε requests are answered exactly.
-    #[must_use]
-    pub fn with_exact_node_threshold(mut self, nodes: usize) -> Self {
-        self.exact_node_threshold = nodes;
-        self
-    }
-
-    /// Sets the repeated-source batch threshold.
-    #[must_use]
-    pub fn with_repeated_source_threshold(mut self, count: usize) -> Self {
-        self.repeated_source_threshold = count.max(1);
-        self
-    }
-
-    /// Sets the spectral-gap threshold below which ε requests are answered
-    /// exactly. `0.0` disables the spectral rule (no gap is below it).
-    #[must_use]
-    pub fn with_lambda_gap_threshold(mut self, gap: f64) -> Self {
-        self.lambda_gap_threshold = gap;
-        self
-    }
-}
-
-/// The routing policy: a pure function of a [`PlannerConfig`].
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct Planner {
-    config: PlannerConfig,
-}
-
-impl Planner {
-    /// A planner with explicit thresholds.
-    pub fn new(config: PlannerConfig) -> Planner {
-        Planner { config }
-    }
-
-    /// The thresholds in force.
-    pub fn config(&self) -> PlannerConfig {
-        self.config
-    }
-    /// Routes a query to the cheapest capable backend under the given
-    /// accuracy target and graph signals.
-    ///
-    /// The decision is a pure function of its arguments, so the routing
-    /// table is unit-testable without building a service.
-    pub fn route(
-        &self,
-        query: &Query,
-        accuracy: Accuracy,
-        signals: GraphSignals,
-        state: PlannerState,
-    ) -> BackendChoice {
-        let n = signals.nodes;
-        match query.shape() {
-            QueryShape::SingleSource | QueryShape::Diagonal | QueryShape::TopK => {
-                BackendChoice::Index
-            }
-            shape @ (QueryShape::Pair | QueryShape::Batch | QueryShape::EdgeSet) => {
-                let repeated_source =
-                    dominant_source_count(&query.pairs()) >= self.config.repeated_source_threshold;
-                match accuracy {
-                    Accuracy::Exact => {
-                        // The index is only worth *building* (n diagonal
-                        // solves) on small graphs; on large graphs it is used
-                        // when already paid for, and EXACT-CG (one solve per
-                        // pair) wins otherwise.
-                        if state.index_ready
-                            || (repeated_source && n <= self.config.exact_node_threshold)
-                        {
+/// The decision is a pure function of its arguments, so the routing table
+/// is unit-testable without building a service.
+pub(crate) fn route(
+    query: &Query,
+    accuracy: Accuracy,
+    nodes: usize,
+    gap: f64,
+    index_ready: bool,
+) -> BackendChoice {
+    match query.shape() {
+        QueryShape::SingleSource | QueryShape::Diagonal | QueryShape::TopK => BackendChoice::Index,
+        shape @ (QueryShape::Pair | QueryShape::Batch | QueryShape::EdgeSet) => {
+            let repeated_source =
+                dominant_source_count(&query.pairs()) >= REPEATED_SOURCE_THRESHOLD;
+            let small = nodes <= EXACT_NODE_THRESHOLD;
+            match accuracy {
+                Accuracy::Exact => {
+                    // The index is only worth *building* (n diagonal
+                    // solves) on small graphs; on large graphs it is used
+                    // when already paid for, and EXACT-CG (one solve per
+                    // pair) wins otherwise.
+                    if index_ready || (repeated_source && small) {
+                        BackendChoice::Index
+                    } else {
+                        BackendChoice::ExactCg
+                    }
+                }
+                Accuracy::Epsilon { .. } => {
+                    // Slow mixing (rule 4): a small spectral gap blows up
+                    // the refined walk length, so CG wins on pair/batch
+                    // queries regardless of size. Edge sets stay with
+                    // HAY whose tree pool does not depend on mixing.
+                    let exact_tier =
+                        small || (shape != QueryShape::EdgeSet && gap < SLOW_MIXING_GAP);
+                    if index_ready && repeated_source {
+                        BackendChoice::Index
+                    } else if exact_tier {
+                        // Building the index (n diagonal solves) for one
+                        // batch only pays on small graphs; a slow-mixing
+                        // *large* repeated-source batch takes per-pair CG.
+                        if repeated_source && small {
                             BackendChoice::Index
                         } else {
                             BackendChoice::ExactCg
                         }
+                    } else if shape == QueryShape::EdgeSet {
+                        BackendChoice::Hay
+                    } else {
+                        BackendChoice::Geer
                     }
-                    Accuracy::Epsilon { .. } => {
-                        // Slow mixing (rule 4): a small spectral gap blows up
-                        // the refined walk length, so CG wins on pair/batch
-                        // queries regardless of size. Edge sets stay with
-                        // HAY whose tree pool does not depend on mixing.
-                        let exact_tier = n <= self.config.exact_node_threshold
-                            || (shape != QueryShape::EdgeSet
-                                && signals.is_slow_mixing(self.config.lambda_gap_threshold));
-                        if state.index_ready && repeated_source {
-                            BackendChoice::Index
-                        } else if exact_tier {
-                            // Building the index (n diagonal solves) for one
-                            // batch only pays on small graphs; a slow-mixing
-                            // *large* repeated-source batch takes per-pair CG.
-                            if repeated_source && n <= self.config.exact_node_threshold {
-                                BackendChoice::Index
-                            } else {
-                                BackendChoice::ExactCg
-                            }
-                        } else if shape == QueryShape::EdgeSet {
-                            BackendChoice::Hay
-                        } else {
-                            BackendChoice::Geer
-                        }
-                    }
-                    Accuracy::WalkBudget(_) => {
-                        if shape == QueryShape::EdgeSet {
-                            BackendChoice::Hay
-                        } else {
-                            BackendChoice::Geer
-                        }
+                }
+                Accuracy::WalkBudget(_) => {
+                    if shape == QueryShape::EdgeSet {
+                        BackendChoice::Hay
+                    } else {
+                        BackendChoice::Geer
                     }
                 }
             }
@@ -365,8 +242,8 @@ impl Planner {
 }
 
 /// The number of distinct (unordered, non-self) pairs in which the most
-/// frequent endpoint participates — the planner's repeated-source signal.
-pub fn dominant_source_count(pairs: &[(NodeId, NodeId)]) -> usize {
+/// frequent endpoint participates — the repeated-source signal.
+fn dominant_source_count(pairs: &[(NodeId, NodeId)]) -> usize {
     let mut seen = std::collections::HashSet::new();
     let mut counts: HashMap<NodeId, usize> = HashMap::new();
     for &(s, t) in pairs {
@@ -386,13 +263,18 @@ pub fn dominant_source_count(pairs: &[(NodeId, NodeId)]) -> usize {
 mod tests {
     use super::*;
 
-    fn planner() -> Planner {
-        Planner::default()
+    /// A social/BA-like spectral gap, well above [`SLOW_MIXING_GAP`].
+    const FAST: f64 = 0.4;
+    /// A small-world-like spectral gap, below [`SLOW_MIXING_GAP`].
+    const SLOW: f64 = 0.03;
+
+    /// A one-source batch of `count` distinct pairs.
+    fn one_source_batch(count: usize) -> Query {
+        Query::batch((1..=count).map(|t| (0usize, t)).collect())
     }
 
     #[test]
     fn source_shapes_always_go_to_the_index() {
-        let p = planner();
         for accuracy in [
             Accuracy::default(),
             Accuracy::Exact,
@@ -400,12 +282,7 @@ mod tests {
         ] {
             for query in [Query::single_source(0), Query::Diagonal, Query::top_k(0, 5)] {
                 assert_eq!(
-                    p.route(
-                        &query,
-                        accuracy,
-                        GraphSignals::of_nodes(1_000_000),
-                        PlannerState::default()
-                    ),
+                    route(&query, accuracy, 1_000_000, FAST, false),
                     BackendChoice::Index,
                     "{query:?} under {accuracy:?}"
                 );
@@ -415,44 +292,30 @@ mod tests {
 
     #[test]
     fn small_graphs_are_answered_exactly_even_for_epsilon_requests() {
-        let p = planner();
         let q = Query::pair(0, 1);
         assert_eq!(
-            p.route(
-                &q,
-                Accuracy::default(),
-                GraphSignals::of_nodes(200),
-                PlannerState::default()
-            ),
+            route(&q, Accuracy::default(), 200, FAST, false),
             BackendChoice::ExactCg
         );
         assert_eq!(
-            p.route(
-                &q,
-                Accuracy::default(),
-                GraphSignals::of_nodes(100_000),
-                PlannerState::default()
-            ),
+            route(&q, Accuracy::default(), 100_000, FAST, false),
             BackendChoice::Geer,
-            "above the threshold, without spectral signals, sampling wins"
+            "above the threshold, on a fast-mixing graph, sampling wins"
         );
     }
 
     #[test]
     fn spectral_gap_routes_slow_mixing_graphs_to_the_exact_tier() {
-        let p = planner();
         let q = Query::pair(0, 1);
-        // A small-world-like λ (gap ≈ 0.03, below the 0.1 default): exact
-        // even though the graph is far above the node-count threshold.
-        let slow = GraphSignals::of_nodes(100_000).with_lambda(0.97);
+        // A small-world-like gap: exact even though the graph is far above
+        // the node-count threshold.
         assert_eq!(
-            p.route(&q, Accuracy::default(), slow, PlannerState::default()),
+            route(&q, Accuracy::default(), 100_000, SLOW, false),
             BackendChoice::ExactCg
         );
-        // A social/BA-like λ (gap ≈ 0.4): GEER.
-        let fast = GraphSignals::of_nodes(100_000).with_lambda(0.6);
+        // A social/BA-like gap: GEER.
         assert_eq!(
-            p.route(&q, Accuracy::default(), fast, PlannerState::default()),
+            route(&q, Accuracy::default(), 100_000, FAST, false),
             BackendChoice::Geer
         );
         // The rule only applies to ε targets and pair/batch shapes: edge
@@ -460,27 +323,22 @@ mod tests {
         // already exact.
         let edges = Query::edge_set(vec![(0, 1)]);
         assert_eq!(
-            p.route(&edges, Accuracy::default(), slow, PlannerState::default()),
+            route(&edges, Accuracy::default(), 100_000, SLOW, false),
             BackendChoice::Hay
         );
         assert_eq!(
-            p.route(&q, Accuracy::WalkBudget(100), slow, PlannerState::default()),
+            route(&q, Accuracy::WalkBudget(100), 100_000, SLOW, false),
             BackendChoice::Geer
         );
         // Slow-mixing large repeated-source batch: per-pair CG, not an
         // index build (n solves), unless the index already exists.
-        let batch = Query::batch((1..40).map(|t| (0usize, t)).collect());
+        let batch = one_source_batch(39);
         assert_eq!(
-            p.route(&batch, Accuracy::default(), slow, PlannerState::default()),
+            route(&batch, Accuracy::default(), 100_000, SLOW, false),
             BackendChoice::ExactCg
         );
         assert_eq!(
-            p.route(
-                &batch,
-                Accuracy::default(),
-                slow,
-                PlannerState { index_ready: true }
-            ),
+            route(&batch, Accuracy::default(), 100_000, SLOW, true),
             BackendChoice::Index
         );
     }
@@ -494,70 +352,83 @@ mod tests {
         let ba = GraphContext::preprocess(generators::barabasi_albert(500, 5, 5).unwrap()).unwrap();
         let ws =
             GraphContext::preprocess(generators::watts_strogatz(500, 6, 0.1, 5).unwrap()).unwrap();
-        assert!(ba.spectral_gap() > 0.1, "BA gap {}", ba.spectral_gap());
-        assert!(ws.spectral_gap() < 0.1, "WS gap {}", ws.spectral_gap());
+        let (ba_gap, ws_gap) = (ba.spectral_gap(), ws.spectral_gap());
+        assert!(ba_gap > SLOW_MIXING_GAP, "BA gap {ba_gap}");
+        assert!(ws_gap < SLOW_MIXING_GAP, "WS gap {ws_gap}");
         let q = Query::pair(0, 1);
-        let nodes = 100_000; // well past the node-count fallback
-        let ba_signals = GraphSignals::of_nodes(nodes).with_lambda(ba.lambda());
-        let ws_signals = GraphSignals::of_nodes(nodes).with_lambda(ws.lambda());
-        // Default threshold 0.1 separates the families.
-        let p = planner();
+        let nodes = 100_000; // well past the node-count threshold
         assert_eq!(
-            p.route(&q, Accuracy::default(), ba_signals, PlannerState::default()),
+            route(&q, Accuracy::default(), nodes, ba_gap, false),
             BackendChoice::Geer
         );
         assert_eq!(
-            p.route(&q, Accuracy::default(), ws_signals, PlannerState::default()),
+            route(&q, Accuracy::default(), nodes, ws_gap, false),
             BackendChoice::ExactCg
         );
-        // Crossing upward: a threshold above the BA gap pulls BA into the
-        // exact tier too.
-        let strict = Planner::new(PlannerConfig::default().with_lambda_gap_threshold(0.9));
+    }
+
+    #[test]
+    fn each_threshold_flips_its_rule_at_its_boundary() {
+        let q = Query::pair(0, 1);
+        let eps = Accuracy::default();
+        // Node count: at the threshold ε is answered exactly, one above it
+        // a fast-mixing graph samples.
         assert_eq!(
-            strict.route(&q, Accuracy::default(), ba_signals, PlannerState::default()),
+            route(&q, eps, EXACT_NODE_THRESHOLD, FAST, false),
             BackendChoice::ExactCg
         );
-        // Crossing downward: a threshold below the WS gap (or 0, disabling
-        // the rule) releases WS to GEER.
-        let lax = Planner::new(PlannerConfig::default().with_lambda_gap_threshold(0.01));
         assert_eq!(
-            lax.route(&q, Accuracy::default(), ws_signals, PlannerState::default()),
+            route(&q, eps, EXACT_NODE_THRESHOLD + 1, FAST, false),
             BackendChoice::Geer
         );
-        let off = Planner::new(PlannerConfig::default().with_lambda_gap_threshold(0.0));
+        // Spectral gap: strictly below the threshold is slow-mixing.
         assert_eq!(
-            off.route(&q, Accuracy::default(), ws_signals, PlannerState::default()),
+            route(&q, eps, 100_000, SLOW_MIXING_GAP - 1e-9, false),
+            BackendChoice::ExactCg
+        );
+        assert_eq!(
+            route(&q, eps, 100_000, SLOW_MIXING_GAP, false),
             BackendChoice::Geer
+        );
+        // Repeated source: a one-source batch of the threshold's size rides
+        // the built index, one pair fewer does not.
+        assert_eq!(
+            route(
+                &one_source_batch(REPEATED_SOURCE_THRESHOLD - 1),
+                eps,
+                100_000,
+                FAST,
+                true
+            ),
+            BackendChoice::Geer
+        );
+        assert_eq!(
+            route(
+                &one_source_batch(REPEATED_SOURCE_THRESHOLD),
+                eps,
+                100_000,
+                FAST,
+                true
+            ),
+            BackendChoice::Index
         );
     }
 
     #[test]
     fn edge_sets_route_to_hay_and_budgets_to_geer() {
-        let p = planner();
-        let big = GraphSignals::of_nodes(100_000);
         let edges = Query::edge_set(vec![(0, 1), (1, 2)]);
         assert_eq!(
-            p.route(&edges, Accuracy::default(), big, PlannerState::default()),
+            route(&edges, Accuracy::default(), 100_000, FAST, false),
             BackendChoice::Hay
         );
         assert_eq!(
-            p.route(
-                &edges,
-                Accuracy::WalkBudget(100),
-                big,
-                PlannerState::default()
-            ),
+            route(&edges, Accuracy::WalkBudget(100), 100_000, FAST, false),
             BackendChoice::Hay
         );
         for query in [Query::pair(0, 9), Query::batch(vec![(0, 9), (3, 4)])] {
             for nodes in [100, 100_000] {
                 assert_eq!(
-                    p.route(
-                        &query,
-                        Accuracy::WalkBudget(100),
-                        GraphSignals::of_nodes(nodes),
-                        PlannerState::default()
-                    ),
+                    route(&query, Accuracy::WalkBudget(100), nodes, FAST, false),
                     BackendChoice::Geer,
                     "{query:?} on {nodes} nodes"
                 );
@@ -567,137 +438,51 @@ mod tests {
 
     #[test]
     fn repeated_source_batches_prefer_the_index() {
-        let p = planner();
-        let pairs: Vec<_> = (1..40).map(|t| (0usize, t)).collect();
-        let batch = Query::batch(pairs);
+        let batch = one_source_batch(39);
         // Small graph: the index is worth building outright.
         assert_eq!(
-            p.route(
-                &batch,
-                Accuracy::default(),
-                GraphSignals::of_nodes(200),
-                PlannerState::default()
-            ),
+            route(&batch, Accuracy::default(), 200, FAST, false),
             BackendChoice::Index
         );
         // Large graph, index not built: GEER (building a full diagonal for
         // one batch would be n solves).
         assert_eq!(
-            p.route(
-                &batch,
-                Accuracy::default(),
-                GraphSignals::of_nodes(100_000),
-                PlannerState::default()
-            ),
+            route(&batch, Accuracy::default(), 100_000, FAST, false),
             BackendChoice::Geer
         );
         // Large graph, index already paid for: re-use it.
         assert_eq!(
-            p.route(
-                &batch,
-                Accuracy::default(),
-                GraphSignals::of_nodes(100_000),
-                PlannerState { index_ready: true }
-            ),
+            route(&batch, Accuracy::default(), 100_000, FAST, true),
             BackendChoice::Index
         );
     }
 
     #[test]
     fn exact_accuracy_routes_to_cg_or_index() {
-        let p = planner();
         let q = Query::pair(0, 1);
-        let big = GraphSignals::of_nodes(100_000);
         assert_eq!(
-            p.route(&q, Accuracy::Exact, big, PlannerState::default()),
+            route(&q, Accuracy::Exact, 100_000, FAST, false),
             BackendChoice::ExactCg
         );
         assert_eq!(
-            p.route(&q, Accuracy::Exact, big, PlannerState { index_ready: true }),
+            route(&q, Accuracy::Exact, 100_000, FAST, true),
             BackendChoice::Index
         );
         // A repeated-source exact batch justifies *building* the index only
         // on small graphs: on a large graph without an index, per-pair CG
-        // (16 solves) beats the n-solve diagonal build.
-        let batch = Query::batch((1..40).map(|t| (0usize, t)).collect());
+        // beats the n-solve diagonal build.
+        let batch = one_source_batch(39);
         assert_eq!(
-            p.route(
-                &batch,
-                Accuracy::Exact,
-                GraphSignals::of_nodes(200),
-                PlannerState::default()
-            ),
+            route(&batch, Accuracy::Exact, 200, FAST, false),
             BackendChoice::Index
         );
         assert_eq!(
-            p.route(&batch, Accuracy::Exact, big, PlannerState::default()),
+            route(&batch, Accuracy::Exact, 100_000, FAST, false),
             BackendChoice::ExactCg
         );
         assert_eq!(
-            p.route(
-                &batch,
-                Accuracy::Exact,
-                big,
-                PlannerState { index_ready: true }
-            ),
+            route(&batch, Accuracy::Exact, 100_000, FAST, true),
             BackendChoice::Index
-        );
-    }
-
-    #[test]
-    fn planner_config_thresholds_steer_routing() {
-        // Raising the exact-node threshold pulls a mid-sized graph back into
-        // the exact tier; lowering it pushes a small graph to sampling.
-        let q = Query::pair(0, 1);
-        let eager = Planner::new(PlannerConfig::default().with_exact_node_threshold(100_000));
-        assert_eq!(
-            eager.route(
-                &q,
-                Accuracy::default(),
-                GraphSignals::of_nodes(50_000),
-                PlannerState::default()
-            ),
-            BackendChoice::ExactCg
-        );
-        let lazy = Planner::new(PlannerConfig::default().with_exact_node_threshold(10));
-        assert_eq!(
-            lazy.route(
-                &q,
-                Accuracy::default(),
-                GraphSignals::of_nodes(500),
-                PlannerState::default()
-            ),
-            BackendChoice::Geer
-        );
-        // A lower repeated-source threshold routes smaller one-source batches
-        // to the index.
-        let batch = Query::batch((1..5).map(|t| (0usize, t)).collect());
-        let keen = Planner::new(PlannerConfig::default().with_repeated_source_threshold(4));
-        assert_eq!(
-            keen.route(
-                &batch,
-                Accuracy::default(),
-                GraphSignals::of_nodes(100_000),
-                PlannerState { index_ready: true }
-            ),
-            BackendChoice::Index
-        );
-        assert_eq!(
-            Planner::default().route(
-                &batch,
-                Accuracy::default(),
-                GraphSignals::of_nodes(100_000),
-                PlannerState { index_ready: true }
-            ),
-            BackendChoice::Geer,
-            "default threshold (16) leaves a 4-pair batch with GEER"
-        );
-        // The threshold floor: 0 is clamped to 1.
-        assert_eq!(
-            PlannerConfig::default()
-                .with_repeated_source_threshold(0)
-                .repeated_source_threshold,
-            1
         );
     }
 

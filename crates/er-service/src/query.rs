@@ -5,7 +5,7 @@ use crate::planner::BackendChoice;
 use er_graph::NodeId;
 
 /// A typed effective-resistance query — *what* is being asked, decoupled from
-/// *how* it will be answered (that is the [`Planner`](crate::Planner)'s job).
+/// *how* it will be answered (that is the [`planner`](crate::planner)'s job).
 ///
 /// ```
 /// use er_service::{Query, ResistanceService};
@@ -203,8 +203,8 @@ pub struct Request {
     pub query: Query,
     /// How accurate the answer must be.
     pub accuracy: Accuracy,
-    /// Explicit backend override; `None` lets the [`Planner`](crate::Planner)
-    /// choose the cheapest capable backend.
+    /// Explicit backend override; `None` lets the
+    /// [`planner`](crate::planner) choose the cheapest capable backend.
     pub backend: Option<BackendChoice>,
 }
 

@@ -853,7 +853,7 @@ mod tests {
     }
 
     #[test]
-    fn planner_state_is_lock_free_even_mid_index_build() {
+    fn plan_is_lock_free_even_mid_index_build() {
         // plan() must answer instantly while another thread holds the index
         // slot mutex for a build — the scheduler calls it under its queue
         // lock. Simulate the build-side contention by holding the service's
@@ -870,7 +870,7 @@ mod tests {
             let _ = service.plan(&Request::new(Query::pair(0, 10)));
         }
         builder.join().unwrap();
-        assert!(service.planner_state().index_ready);
+        assert!(service.index_backend().is_some());
     }
 
     #[test]

@@ -3,10 +3,9 @@
 //! Since PR 4 the service is built for *concurrent* callers: [`submit`]
 //! takes `&self`, the service is `Send + Sync`, and any number of threads
 //! (or the [`ResistanceServer`](crate::ResistanceServer) worker pool) can be
-//! in flight at once. Internally the service splits into
+//! in flight at once. Besides the graph context and configuration, which
+//! every submit only reads, the service holds
 //!
-//! * an immutable, `Arc`-shared core — graph context, configuration and the
-//!   routing [`Planner`] — that every submit only reads,
 //! * a sharded cache tier: one [`QueryCache`] shard per
 //!   accuracy/backend-override class, each behind its own mutex, so requests
 //!   in different classes never contend, and
@@ -22,7 +21,7 @@
 use crate::backend::{forked, hay};
 use crate::capability::QueryShape;
 use crate::error::ServiceError;
-use crate::planner::{BackendChoice, GraphSignals, Planner, PlannerConfig, PlannerState};
+use crate::planner::{route, BackendChoice};
 use crate::query::{Accuracy, Query, Request};
 use crate::response::Response;
 use er_core::{
@@ -77,14 +76,6 @@ fn pair_stream(s: NodeId, t: NodeId) -> u64 {
     x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^= x >> 31;
     x
-}
-
-/// The immutable heart of the service: everything `submit` reads but never
-/// writes, shared by `Arc` so worker threads and handles stay cheap.
-struct ServiceCore {
-    context: GraphContext,
-    config: ApproxConfig,
-    planner: Planner,
 }
 
 /// The sharded cache tier: one bounded [`QueryCache`] per cache class, each
@@ -143,12 +134,12 @@ type RpKey = (u64, u64);
 #[derive(Default)]
 struct BackendRegistry {
     index: Mutex<Option<Arc<ErIndex>>>,
-    /// Lock-free mirror of `index.is_some()`, so [`planner_state`] (called
-    /// on every plan, including by the server's scheduler under its queue
-    /// lock) never blocks behind a multi-second index *build* holding the
-    /// slot mutex.
+    /// Lock-free mirror of `index.is_some()`, so [`plan`] (called on every
+    /// request, including by the server's scheduler under its queue lock)
+    /// never blocks behind a multi-second index *build* holding the slot
+    /// mutex.
     ///
-    /// [`planner_state`]: ResistanceService::planner_state
+    /// [`plan`]: ResistanceService::plan
     index_ready: std::sync::atomic::AtomicBool,
     exact_dense: Mutex<Option<Arc<Exact>>>,
     /// RP's sketch is ε/δ-specific, so it is memoized per operating point.
@@ -205,8 +196,8 @@ struct PendingPairs {
 ///
 /// Callers describe *what* they want — a typed [`Query`] plus an
 /// [`Accuracy`] target — and the service plans *how*: a capability check, a
-/// cache-tier pass, a routing decision by the [`Planner`], and one
-/// batch-native call into the chosen estimator on content-derived RNG
+/// cache-tier pass, a routing decision by the [`planner`](crate::planner),
+/// and one batch-native call into the chosen estimator on content-derived RNG
 /// streams (bit-identical at any thread count for a fixed seed).
 ///
 /// The service is `Send + Sync` and [`submit`](Self::submit) takes `&self`:
@@ -228,7 +219,8 @@ struct PendingPairs {
 /// assert!(!response.backend.is_empty());
 /// ```
 pub struct ResistanceService {
-    core: Arc<ServiceCore>,
+    context: GraphContext,
+    config: ApproxConfig,
     caches: CacheTier,
     backends: BackendRegistry,
 }
@@ -256,28 +248,11 @@ impl ResistanceService {
     /// Builds a service over an already-preprocessed [`GraphContext`].
     pub fn from_context(context: GraphContext, config: ApproxConfig) -> Self {
         ResistanceService {
-            core: Arc::new(ServiceCore {
-                context,
-                config,
-                planner: Planner::default(),
-            }),
+            context,
+            config,
             caches: CacheTier::new(Self::DEFAULT_CACHE_CAPACITY),
             backends: BackendRegistry::default(),
         }
-    }
-
-    /// The immutable core, for builder-time mutation only (before the
-    /// service is shared).
-    fn core_mut(&mut self) -> &mut ServiceCore {
-        Arc::get_mut(&mut self.core)
-            .expect("service builders must run before the service is shared")
-    }
-
-    /// Overrides the planner's thresholds.
-    #[must_use]
-    pub fn with_planner_config(mut self, config: PlannerConfig) -> Self {
-        self.core_mut().planner = Planner::new(config);
-        self
     }
 
     /// Installs a pre-built INDEX backend, marking the index tier ready so
@@ -291,7 +266,7 @@ impl ResistanceService {
     pub fn with_prebuilt_index(self, index: Arc<ErIndex>) -> Self {
         assert_eq!(
             index.graph().num_nodes(),
-            self.core.context.graph().num_nodes(),
+            self.context.graph().num_nodes(),
             "prebuilt index must cover the service's node set"
         );
         *self.backends.index.lock().expect("index slot poisoned") = Some(index);
@@ -313,44 +288,29 @@ impl ResistanceService {
 
     /// The preprocessed graph context the service answers over.
     pub fn context(&self) -> &GraphContext {
-        &self.core.context
+        &self.context
     }
 
     /// The service's estimator configuration.
     pub fn config(&self) -> ApproxConfig {
-        self.core.config
-    }
-
-    /// The routing policy in force.
-    pub fn planner(&self) -> Planner {
-        self.core.planner
-    }
-
-    /// What the planner can currently observe about this service.
-    ///
-    /// Lock-free (an atomic load), so planning never blocks behind an
-    /// in-progress index build.
-    pub fn planner_state(&self) -> PlannerState {
-        PlannerState {
-            index_ready: self.backends.index_ready.load(Ordering::Acquire),
-        }
+        self.config
     }
 
     /// The backend the service would use for `request` right now, without
     /// doing any work. Honors the request's override.
     ///
-    /// Planner-routed requests see the full [`GraphSignals`]: node count
-    /// plus the spectral radius λ the preprocessing measured, so the
-    /// spectral-gap rule is always active inside the service.
+    /// Planner-routed requests see the graph's node count, the spectral gap
+    /// the preprocessing measured, and whether the INDEX tier is built. The
+    /// last is an atomic load, so planning never blocks behind an
+    /// in-progress index build.
     pub fn plan(&self, request: &Request) -> BackendChoice {
         request.backend.unwrap_or_else(|| {
-            let signals = GraphSignals::of_nodes(self.core.context.graph().num_nodes())
-                .with_lambda(self.core.context.lambda());
-            self.core.planner.route(
+            route(
                 &request.query,
                 request.accuracy,
-                signals,
-                self.planner_state(),
+                self.context.graph().num_nodes(),
+                self.context.spectral_gap(),
+                self.backends.index_ready.load(Ordering::Acquire),
             )
         })
     }
@@ -458,7 +418,7 @@ impl ResistanceService {
     /// computed from a [`Query::Diagonal`] answer.
     pub fn kirchhoff_index(&self) -> Result<f64, ServiceError> {
         let diag = self.submit(&Request::new(Query::Diagonal))?;
-        let n = self.core.context.graph().num_nodes() as f64;
+        let n = self.context.graph().num_nodes() as f64;
         Ok(n * diag.values.iter().sum::<f64>())
     }
 
@@ -480,11 +440,8 @@ impl ResistanceService {
         for request in requests {
             let shape = request.query.shape();
             for &(s, t) in request.query.pairs().iter() {
-                self.core.context.check_pair(s, t)?;
-                if shape == QueryShape::EdgeSet
-                    && s != t
-                    && !self.core.context.graph().has_edge(s, t)
-                {
+                self.context.check_pair(s, t)?;
+                if shape == QueryShape::EdgeSet && s != t && !self.context.graph().has_edge(s, t) {
                     return Err(ServiceError::InvalidRequest {
                         message: format!("({s}, {t}) is not an edge of the graph"),
                     });
@@ -649,7 +606,7 @@ impl ResistanceService {
     /// from the INDEX tier, the only backend that answers those shapes.
     fn submit_index(&self, request: &Request) -> Result<Response, ServiceError> {
         if let Query::SingleSource { source } | Query::TopK { source, .. } = request.query {
-            self.core.context.check_pair(source, source)?;
+            self.context.check_pair(source, source)?;
         }
         let shape = request.query.shape();
         let choice = self.resolve(request)?;
@@ -693,9 +650,9 @@ impl ResistanceService {
             Accuracy::Epsilon { eps, delta } => ApproxConfig {
                 epsilon: eps,
                 delta,
-                ..self.core.config
+                ..self.config
             },
-            _ => self.core.config,
+            _ => self.config,
         }
     }
 
@@ -711,9 +668,9 @@ impl ResistanceService {
         pairs: &[(NodeId, NodeId)],
         streams: &[u64],
     ) -> Result<GeerBatchRun, ServiceError> {
-        let ctx = &self.core.context;
+        let ctx = &self.context;
         let cfg = self.effective_config(accuracy);
-        let threads = self.core.config.threads;
+        let threads = self.config.threads;
         let budget = match accuracy {
             Accuracy::WalkBudget(b) => Some(b),
             _ => None,
@@ -771,10 +728,8 @@ impl ResistanceService {
     /// a request the planner then routes to INDEX waits for this build.
     fn index(&self) -> Result<Arc<ErIndex>, ServiceError> {
         memoized(&self.backends.index, || {
-            let index = ErIndex::build_with_threads(
-                self.core.context.graph_arc().clone(),
-                self.core.config.threads,
-            )?;
+            let index =
+                ErIndex::build_with_threads(self.context.graph_arc().clone(), self.config.threads)?;
             self.backends.index_ready.store(true, Ordering::Release);
             Ok(index)
         })
@@ -783,7 +738,7 @@ impl ResistanceService {
     /// The dense pseudo-inverse behind EXACT, built on first use.
     fn exact_dense(&self) -> Result<Arc<Exact>, ServiceError> {
         memoized(&self.backends.exact_dense, || {
-            Ok(Exact::new(&self.core.context)?)
+            Ok(Exact::new(&self.context)?)
         })
     }
 
@@ -795,7 +750,7 @@ impl ResistanceService {
         match slot.as_ref() {
             Some((k, rp)) if *k == key => Ok(rp.clone()),
             _ => {
-                let rp = Arc::new(Rp::with_entry_budget(&self.core.context, cfg, 10_000_000)?);
+                let rp = Arc::new(Rp::with_entry_budget(&self.context, cfg, 10_000_000)?);
                 *slot = Some((key, rp.clone()));
                 Ok(rp)
             }
@@ -1144,7 +1099,7 @@ mod tests {
         let kf = s.kirchhoff_index().unwrap();
         assert!(kf > 0.0);
         // After the index is built the planner observes it.
-        assert!(s.planner_state().index_ready);
+        assert!(s.index_backend().is_some());
         assert_eq!(
             s.plan(&Request::new(Query::pair(0, 1)).with_accuracy(Accuracy::Exact)),
             BackendChoice::Index
@@ -1289,19 +1244,5 @@ mod tests {
         assert_eq!(prefix.backend, "GEER");
         assert_eq!(prefix.cost.random_walks, 0);
         assert!(prefix.values.iter().all(|&v| v > 0.0));
-    }
-
-    #[test]
-    fn planner_config_builder_reaches_the_routing_table() {
-        let g = generators::social_network_like(150, 8.0, 7).unwrap();
-        // Threshold below the graph size: the ε request goes to sampling.
-        let s = ResistanceService::new(&g)
-            .unwrap()
-            .with_planner_config(PlannerConfig::default().with_exact_node_threshold(10));
-        assert_eq!(
-            s.plan(&Request::new(Query::pair(0, 75))),
-            BackendChoice::Geer
-        );
-        assert_eq!(s.planner().config().exact_node_threshold, 10);
     }
 }

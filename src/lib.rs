@@ -101,7 +101,7 @@ pub mod apps {
 pub use er_core::*;
 pub use er_http::{HttpConfig, HttpServer};
 pub use er_service::{
-    Accuracy, BackendChoice, DynamicResistanceService, Planner, PlannerConfig, PlannerState,
-    Priority, Query, QueryShape, Request, ResistanceServer, ResistanceService, Response,
-    ServerConfig, ServerHandle, ServerStats, ServiceEpoch, ServiceError, SubmitOptions, Ticket,
+    Accuracy, BackendChoice, DynamicResistanceService, Priority, Query, QueryShape, Request,
+    ResistanceServer, ResistanceService, Response, ServerConfig, ServerHandle, ServerStats,
+    ServiceEpoch, ServiceError, SubmitOptions, Ticket,
 };
