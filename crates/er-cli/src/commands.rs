@@ -115,9 +115,14 @@ pub fn stats(graph: &Graph, _args: &ParsedArgs) -> Result<String, String> {
         "spectral bound lambda = max(|lambda_2|, |lambda_n|) = {:.6}",
         context.lambda()
     );
+    let measured = match (context.lanczos_steps(), context.lambda_certified()) {
+        (0, _) => "exact (dense)".to_string(),
+        (steps, true) => format!("certified bound, {steps} Lanczos steps"),
+        (steps, false) => format!("uncertified Ritz estimate, {steps} Lanczos steps"),
+    };
     let _ = writeln!(
         out,
-        "  (lambda_2 = {:.6}, lambda_n = {:.6})",
+        "  (lambda_2 = {:.6}, lambda_n = {:.6}; {measured})",
         context.lambda2(),
         context.lambda_n()
     );
@@ -576,6 +581,11 @@ mod tests {
         let out = stats(&graph(), &args("stats")).unwrap();
         assert!(out.contains("lambda"));
         assert!(out.contains("num_nodes") || out.contains("GraphStats"));
+        assert!(out.contains("; exact (dense))"), "{out}");
+        let large = generators::social_network_like(300, 8.0, 3).unwrap();
+        let out = stats(&large, &args("stats")).unwrap();
+        assert!(out.contains("; certified bound, "), "{out}");
+        assert!(out.contains(" Lanczos steps)"), "{out}");
     }
 
     #[test]

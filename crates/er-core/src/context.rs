@@ -8,15 +8,22 @@
 //! that value and validates the standing assumptions (connected,
 //! non-bipartite).
 //!
+//! Theorem 3.1's walk length keeps the truncation error within ε/2 only for
+//! a λ at least the true value. Above 256 nodes λ comes from a Lanczos run
+//! that stops once certified ([`er_linalg::lanczos`]): λ₂, λₙ and λ are then
+//! outward bounds, and [`GraphContext::lambda_certified`] says so. A run that
+//! reached its step cap uncertified leaves Ritz values, which lie inside the
+//! spectrum. Below that size the dense eigenvalues are exact.
+//!
 //! The context is **owned**: it holds the graph as an `Arc<Graph>`, so it is
-//! `Send + Sync`, cheap to clone (a reference-count bump plus three floats)
-//! and free of borrow lifetimes — estimators store their own copy, services
-//! can cache contexts, and the parallel sampling layer can share one context
-//! across worker threads.
+//! `Send + Sync`, cheap to clone (a reference-count bump plus the spectral
+//! measurement) and free of borrow lifetimes — estimators store their own
+//! copy, services can cache contexts, and the parallel sampling layer can
+//! share one context across worker threads.
 
 use crate::error::EstimatorError;
 use er_graph::{analysis, Graph, IntoGraphArc};
-use er_linalg::lanczos;
+use er_linalg::lanczos::{self, SpectralBounds};
 use std::sync::Arc;
 
 /// A graph together with its spectral preprocessing.
@@ -24,16 +31,16 @@ use std::sync::Arc;
 pub struct GraphContext {
     graph: Arc<Graph>,
     lambda: f64,
-    lambda2: f64,
-    lambda_n: f64,
+    spectrum: SpectralBounds,
 }
 
 impl GraphContext {
-    /// Default Krylov dimension for the Lanczos eigenvalue estimation.
+    /// Default cap on the Lanczos steps of the eigenvalue estimation; a run
+    /// stops earlier once λ is certified.
     pub const DEFAULT_LANCZOS_ITERATIONS: usize = 120;
 
     /// Validates the graph (connected, non-bipartite) and computes
-    /// `λ = max{|λ₂|, |λₙ|}` with the default Lanczos budget.
+    /// `λ = max{|λ₂|, |λₙ|}` with the default Lanczos cap.
     ///
     /// Accepts a `Graph`, an `Arc<Graph>`, or a reference to either (a `&Graph`
     /// is copied once; pass the graph or an `Arc` by value to avoid the copy).
@@ -41,14 +48,15 @@ impl GraphContext {
         Self::preprocess_with(graph, Self::DEFAULT_LANCZOS_ITERATIONS, 0xe16e)
     }
 
-    /// Validates the graph and computes λ with an explicit Lanczos iteration
-    /// budget and seed.
+    /// Validates the graph and computes λ with an explicit Lanczos step cap
+    /// and seed.
     pub fn preprocess_with(
         graph: impl IntoGraphArc,
         lanczos_iterations: usize,
         seed: u64,
     ) -> Result<Self, EstimatorError> {
-        let bounds = |g: &Graph| (lanczos::spectral_bounds(g, lanczos_iterations, seed), None);
+        let bounds =
+            |g: &Graph| lanczos::measure_spectral_bounds(g, lanczos_iterations, seed, None, false);
         Ok(Self::validate_then_measure(graph, bounds)?.0)
     }
 
@@ -58,7 +66,7 @@ impl GraphContext {
     /// returned beside the context (`None` on the dense path, n ≤ 256).
     ///
     /// With `start = None` the context is the one `preprocess_with` builds
-    /// with the same budget and seed. This is the dynamic service's refresh.
+    /// with the same cap and seed. This is the dynamic service's refresh.
     pub fn preprocess_warm(
         graph: impl IntoGraphArc,
         lanczos_iterations: usize,
@@ -66,7 +74,7 @@ impl GraphContext {
         start: Option<&[f64]>,
     ) -> Result<(Self, Option<Vec<f64>>), EstimatorError> {
         Self::validate_then_measure(graph, |g| {
-            lanczos::spectral_bounds_warm(g, lanczos_iterations, seed, start)
+            lanczos::measure_spectral_bounds(g, lanczos_iterations, seed, start, true)
         })
     }
 
@@ -74,24 +82,27 @@ impl GraphContext {
     /// `(λ₂, λₙ)` that `bounds` measures and derives λ from them.
     fn validate_then_measure(
         graph: impl IntoGraphArc,
-        bounds: impl FnOnce(&Graph) -> ((f64, f64), Option<Vec<f64>>),
+        bounds: impl FnOnce(&Graph) -> (SpectralBounds, Option<Vec<f64>>),
     ) -> Result<(Self, Option<Vec<f64>>), EstimatorError> {
         let graph = graph.into_graph_arc();
         analysis::validate_ergodic(&graph)?;
-        let ((lambda2, lambda_n), ritz) = bounds(&graph);
-        let lambda = lambda2.abs().max(lambda_n.abs()).clamp(1e-9, 1.0 - 1e-9);
+        let (spectrum, ritz) = bounds(&graph);
+        let lambda = spectrum
+            .lambda2
+            .abs()
+            .max(spectrum.lambda_n.abs())
+            .clamp(1e-9, 1.0 - 1e-9);
         let context = GraphContext {
             graph,
             lambda,
-            lambda2,
-            lambda_n,
+            spectrum,
         };
         Ok((context, ritz))
     }
 
     /// Builds a context from an externally supplied λ (e.g. loaded from a
     /// preprocessing file, or a synthetic value in tests). The graph is still
-    /// validated.
+    /// validated; nothing is measured, so λ does not count as certified.
     pub fn with_lambda(graph: impl IntoGraphArc, lambda: f64) -> Result<Self, EstimatorError> {
         let graph = graph.into_graph_arc();
         analysis::validate_ergodic(&graph)?;
@@ -104,8 +115,12 @@ impl GraphContext {
         Ok(GraphContext {
             graph,
             lambda,
-            lambda2: lambda,
-            lambda_n: -lambda,
+            spectrum: SpectralBounds {
+                lambda2: lambda,
+                lambda_n: -lambda,
+                steps: 0,
+                certified: false,
+            },
         })
     }
 
@@ -120,32 +135,52 @@ impl GraphContext {
         &self.graph
     }
 
-    /// `λ = max{|λ₂|, |λₙ|}`, clamped into (0, 1).
+    /// `λ = max{|λ₂|, |λₙ|}`, clamped into (0, 1): an upper bound on the
+    /// true value when [`lambda_certified`](Self::lambda_certified).
     pub fn lambda(&self) -> f64 {
         self.lambda
     }
 
-    /// The spectral gap `1 − λ` of the transition matrix.
+    /// The spectral gap `1 − λ` of the transition matrix: a lower bound on
+    /// the true gap when [`lambda_certified`](Self::lambda_certified).
     ///
     /// Because [`lambda`](Self::lambda) is clamped into
     /// `(1e-9, 1 − 1e-9)` at preprocessing time, the gap is always inside
     /// `(1e-9, 1 − 1e-9)` too — callers (notably the service planner's
-    /// slow-mixing rule) can compare it against thresholds without
-    /// re-deriving anything from `lambda2`/`lambda_n` or handling 0/1
-    /// degenerate values. Small gap ⇒ slow mixing (long walks, GEER's Monte
-    /// Carlo tail is expensive); large gap ⇒ fast mixing.
+    /// slow-mixing rule, which so compares a certified gap) can compare it
+    /// against thresholds without re-deriving anything from
+    /// `lambda2`/`lambda_n` or handling 0/1 degenerate values. Small gap ⇒
+    /// slow mixing (long walks, GEER's Monte Carlo tail is expensive); large
+    /// gap ⇒ fast mixing.
     pub fn spectral_gap(&self) -> f64 {
         1.0 - self.lambda
     }
 
-    /// The second-largest eigenvalue λ₂ of the transition matrix.
+    /// The second-largest eigenvalue λ₂ of the transition matrix; an upper
+    /// bound on it when [`lambda_certified`](Self::lambda_certified).
     pub fn lambda2(&self) -> f64 {
-        self.lambda2
+        self.spectrum.lambda2
     }
 
-    /// The smallest eigenvalue λₙ of the transition matrix.
+    /// The smallest eigenvalue λₙ of the transition matrix; a lower bound
+    /// on it when [`lambda_certified`](Self::lambda_certified).
     pub fn lambda_n(&self) -> f64 {
-        self.lambda_n
+        self.spectrum.lambda_n
+    }
+
+    /// Whether λ₂, λₙ, λ and the gap are certified: exact from the dense
+    /// path (n ≤ 256), or outward bounds from a Lanczos run that certified.
+    /// `false` for a run that reached its step cap first, whose values are
+    /// Ritz estimates from inside the spectrum, and for a supplied λ
+    /// ([`with_lambda`](Self::with_lambda)).
+    pub fn lambda_certified(&self) -> bool {
+        self.spectrum.certified
+    }
+
+    /// Lanczos steps the preprocessing ran: 0 on the dense path and for a
+    /// supplied λ.
+    pub fn lanczos_steps(&self) -> usize {
+        self.spectrum.steps
     }
 
     /// Validates a query pair: both endpoints in range and `s != t` is *not*
@@ -171,6 +206,28 @@ mod tests {
         assert!(ctx.lambda_n() >= -1.0);
         assert!(ctx.lambda() >= ctx.lambda2().abs() - 1e-12);
         assert_eq!(ctx.graph().num_nodes(), 300);
+    }
+
+    #[test]
+    fn preprocessing_records_how_lambda_was_measured() {
+        // Dense path: exact, no Lanczos steps.
+        let dense = GraphContext::preprocess(generators::complete(11).unwrap()).unwrap();
+        assert!(dense.lambda_certified());
+        assert_eq!(dense.lanczos_steps(), 0);
+        // Lanczos path: certified before the cap.
+        let g = generators::social_network_like(300, 8.0, 3).unwrap();
+        let certified = GraphContext::preprocess(&g).unwrap();
+        assert!(certified.lambda_certified());
+        let steps = certified.lanczos_steps();
+        assert!(steps > 0 && steps < GraphContext::DEFAULT_LANCZOS_ITERATIONS);
+        // Capped before certifying: Ritz estimates.
+        let capped = GraphContext::preprocess_with(&g, 5, 0xe16e).unwrap();
+        assert!(!capped.lambda_certified());
+        assert_eq!(capped.lanczos_steps(), 5);
+        // A supplied λ is not measured.
+        let supplied = GraphContext::with_lambda(&g, 0.5).unwrap();
+        assert!(!supplied.lambda_certified());
+        assert_eq!(supplied.lanczos_steps(), 0);
     }
 
     #[test]

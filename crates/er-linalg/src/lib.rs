@@ -15,7 +15,8 @@
 //!   the basis is stored only to build a warm-start Ritz vector) plus a
 //!   symmetric tridiagonal eigensolver (implicit QL, [`lanczos::tridiagonal_eigen`]);
 //!   this substitutes for ARPACK when computing λ = max{|λ₂|, |λₙ|} in the
-//!   preprocessing step of Section 3.1.
+//!   preprocessing step of Section 3.1, and stops once the residuals of the
+//!   extreme Ritz pairs certify outward bounds on λ₂ and λₙ.
 //! * [`solver`] — a conjugate-gradient Laplacian solver (for ground truth,
 //!   the EXACT-via-solves path and the RP sketch).
 //! * [`sketch`] — the Spielman–Srivastava random-projection sketch used by
@@ -36,7 +37,10 @@ pub mod update;
 pub mod vector;
 
 pub use dense::DenseMatrix;
-pub use lanczos::{lanczos_with_start, spectral_bounds, spectral_bounds_warm, LanczosResult};
+pub use lanczos::{
+    lanczos_with_start, measure_spectral_bounds, spectral_bounds, spectral_bounds_warm,
+    LanczosResult, SpectralBounds,
+};
 pub use ops::{
     AdjacencyOp, LaplacianOp, LinearOperator, NormalizedAdjacencyOp, OverlayLaplacianOp,
     TransitionOp,

@@ -190,8 +190,15 @@ pub(crate) fn route(
     match query.shape() {
         QueryShape::SingleSource | QueryShape::Diagonal | QueryShape::TopK => BackendChoice::Index,
         shape @ (QueryShape::Pair | QueryShape::Batch | QueryShape::EdgeSet) => {
-            let repeated_source =
-                dominant_source_count(&query.pairs()) >= REPEATED_SOURCE_THRESHOLD;
+            // Fewer pairs than the threshold can never reach it, so single
+            // pairs and small batches skip the count and its allocations.
+            let repeated_source = match query {
+                Query::Batch { pairs } | Query::EdgeSet { edges: pairs } => {
+                    pairs.len() >= REPEATED_SOURCE_THRESHOLD
+                        && dominant_source_count(pairs) >= REPEATED_SOURCE_THRESHOLD
+                }
+                _ => false,
+            };
             let small = nodes <= EXACT_NODE_THRESHOLD;
             match accuracy {
                 Accuracy::Exact => {

@@ -31,9 +31,15 @@
 //!   at full rebuilds and bridge deletes, checked after every mutation
 //!   against the truth on the mutated graph.
 //!
-//! Every graph here has at most 200 nodes, so the default planner answers
-//! their ε pairs exactly; `tests/service.rs` covers planner-routed GEER and
-//! HAY end to end on a 2,000-node graph.
+//! Those four graphs have at most 200 nodes. There λ is the exact dense
+//! eigenvalue (n ≤ 256) and the default planner answers ε pairs exactly
+//! (n ≤ `EXACT_NODE_THRESHOLD`). A fifth graph, social-network-like with
+//! 600 nodes and a spectral gap of about 0.37, is above both cutoffs: its
+//! λ is the certified Lanczos bound, and the default planner sends its ε
+//! pairs to GEER, whose walk length reads that λ. It goes through the
+//! default planner in process, through the server and over HTTP, and
+//! through a dynamic service whose incremental refreshes certify λ by warm
+//! Lanczos, each checked against the truth on the current graph.
 //!
 //! What is asserted:
 //!
@@ -97,8 +103,8 @@ const PAIRS: usize = 20;
 /// seeded pair set.
 struct Case {
     name: &'static str,
-    /// The graph, preprocessed once: Lanczos takes seconds per graph in a
-    /// debug build.
+    /// The graph, preprocessed once: the dense eigensolve takes up to
+    /// seconds per graph in a debug build.
     context: GraphContext,
     truth: AllPairsResistance,
     pairs: Vec<(usize, usize)>,
@@ -154,6 +160,19 @@ fn cases() -> &'static [Case] {
             ),
             Case::new("barbell", generators::barbell(8, 2).unwrap(), 4),
         ]
+    })
+}
+
+/// The fixture above the dense and exact cutoffs (see the module docs),
+/// built once: `AllPairsResistance` takes about 2 s here in a debug build.
+fn lanczos_case() -> &'static Case {
+    static CASE: OnceLock<Case> = OnceLock::new();
+    CASE.get_or_init(|| {
+        Case::new(
+            "social-600",
+            generators::social_network_like(600, 8.0, 5).unwrap(),
+            5,
+        )
     })
 }
 
@@ -642,6 +661,128 @@ fn batched_geer_queries_meet_epsilon_and_reuse_the_cache() {
     assert_eq!(again.backend_calls, 0);
     assert_eq!(again.cache_hits as usize, base.len());
     assert_eq!(again.values, response.values[base.len()..]);
+}
+
+/// On the 600-node graph, default-planner ε pairs go to GEER through the
+/// certified λ and meet ε, in process, through the server and over HTTP.
+#[test]
+fn lanczos_sized_graph_meets_epsilon_through_the_certified_lambda() {
+    let case = lanczos_case();
+    let context = &case.context;
+    assert!(
+        context.lambda_certified(),
+        "λ measured without a certificate"
+    );
+    assert!(context.lanczos_steps() > 0, "λ did not come from Lanczos");
+    assert!(
+        (context.spectral_gap() - 0.37).abs() < 0.02,
+        "gap {}",
+        context.spectral_gap()
+    );
+
+    let mut planned = EpsilonTally::default();
+    let service = case.service();
+    for &(s, t) in &case.pairs {
+        let response = service.submit(&pair(s, t, epsilon(EPS))).unwrap();
+        assert_eq!(response.backend, "GEER", "({s}, {t})");
+        planned.check(case, (s, t), response.value(), EPS);
+    }
+    planned.assert_rate("default planner on the 600-node graph");
+
+    let mut served = EpsilonTally::default();
+    let handle = case.server();
+    let tickets: Vec<_> = case
+        .pairs
+        .iter()
+        .map(|&(s, t)| handle.submit(pair(s, t, epsilon(EPS))).unwrap())
+        .collect();
+    handle.resume();
+    for (&(s, t), ticket) in case.pairs.iter().zip(tickets) {
+        let response = ticket.wait().unwrap();
+        assert_eq!(response.backend, "GEER", "server ({s}, {t})");
+        served.check(case, (s, t), response.value(), EPS);
+    }
+    served.assert_rate("server on the 600-node graph");
+
+    let mut wired = EpsilonTally::default();
+    let server = HttpServer::bind(handle, HttpConfig::default()).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    for &(s, t) in &case.pairs {
+        let (status, reply) = post_query(
+            &mut stream,
+            &format!(
+                r#"{{"query":{{"type":"pair","s":{s},"t":{t}}},"accuracy":{{"type":"epsilon","eps":{EPS}}}}}"#
+            ),
+        );
+        assert_eq!(status, 200, "{reply:?}");
+        assert_eq!(reply.get("backend").and_then(Json::as_str), Some("GEER"));
+        wired.check(case, (s, t), wire_value(&reply), EPS);
+    }
+    server.shutdown();
+    wired.assert_rate("http on the 600-node graph");
+}
+
+/// A dynamic service over the 600-node graph: after each burst of two
+/// inserts and one delete, the incremental refresh certifies λ by warm
+/// Lanczos in a few steps, and default-planner ε pairs meet ε against the
+/// truth on the mutated graph.
+#[test]
+fn dynamic_warm_refreshes_meet_epsilon_above_the_dense_cutoff() {
+    let case = lanczos_case();
+    let graph = case.context.graph();
+    let n = graph.num_nodes();
+    let dynamic = DynamicResistanceService::from_graph(graph, config());
+    // The first epoch is a full build; every later one is incremental.
+    dynamic.refresh().unwrap();
+    let mut edges: BTreeSet<(usize, usize)> = graph.edges().collect();
+    let mut shortcuts = (0..n)
+        .map(|i| (i, (i * 37 + 11) % n))
+        .filter(|&(u, v)| u != v && !graph.has_edge(u, v));
+    // Deletes take edges between nodes of degree at least 4. None is a
+    // bridge of this graph; the refresh would report one.
+    let mut removable = graph
+        .edges()
+        .step_by(101)
+        .filter(|&(u, v)| graph.degree(u) >= 4 && graph.degree(v) >= 4);
+    let mut tally = EpsilonTally::default();
+    for burst in 0..3 {
+        for _ in 0..2 {
+            let (u, v) = shortcuts.next().unwrap();
+            assert!(dynamic.insert_edge(u, v).unwrap());
+            edges.insert((u.min(v), u.max(v)));
+        }
+        let (u, v) = removable.next().unwrap();
+        assert!(dynamic.remove_edge(u, v).unwrap());
+        edges.remove(&(u.min(v), u.max(v)));
+
+        let mutated = GraphBuilder::from_edges(n, edges.iter().copied())
+            .build()
+            .unwrap();
+        let epoch = dynamic.refresh().unwrap();
+        let context = epoch.service().context();
+        assert_eq!(context.graph().csr(), mutated.csr());
+        assert!(context.lambda_certified(), "burst {burst}");
+        assert!(
+            context.lanczos_steps() <= 5,
+            "burst {burst}: {} warm steps",
+            context.lanczos_steps()
+        );
+        let step = Case {
+            name: "social-600 mutated",
+            context: context.clone(),
+            truth: AllPairsResistance::compute(&mutated).unwrap(),
+            pairs: uniform_pairs(&mutated, PAIRS, 10 + burst),
+            edges: Vec::new(),
+        };
+        for &(s, t) in &step.pairs {
+            let response = dynamic.submit(&pair(s, t, epsilon(EPS))).unwrap();
+            assert_eq!(response.backend, "GEER", "burst {burst} ({s}, {t})");
+            tally.check(&step, (s, t), response.value(), EPS);
+        }
+    }
+    assert_eq!(dynamic.snapshot_full_rebuilds(), 1);
+    assert_eq!(dynamic.incremental_refreshes(), 3);
+    tally.assert_rate("dynamic service on the 600-node graph");
 }
 
 /// An `Exact` pair and an exact single-source row from the dynamic service,
