@@ -85,28 +85,6 @@ impl MethodKind {
         matches!(self, MethodKind::Mc2 | MethodKind::Hay)
     }
 
-    /// The service-plane backend corresponding to this method, so harness
-    /// configurations translate directly into [`er_service`] override
-    /// requests. `None` for figure-only methods the service does not serve:
-    /// the Peng-length SMM ablation, and MC, whose trial count assumes
-    /// `r(s, t) ≤ γ`, which the service cannot check.
-    pub fn backend_choice(&self) -> Option<er_service::BackendChoice> {
-        use er_service::BackendChoice;
-        Some(match self {
-            MethodKind::Geer => BackendChoice::Geer,
-            MethodKind::Amc => BackendChoice::Amc,
-            MethodKind::Smm => BackendChoice::Smm,
-            MethodKind::SmmPengLength => return None,
-            MethodKind::Tp => BackendChoice::Tp,
-            MethodKind::Tpc => BackendChoice::Tpc,
-            MethodKind::Rp => BackendChoice::Rp,
-            MethodKind::Exact => BackendChoice::ExactDense,
-            MethodKind::Mc => return None,
-            MethodKind::Mc2 => BackendChoice::Mc2,
-            MethodKind::Hay => BackendChoice::Hay,
-        })
-    }
-
     /// Builds an estimator instance for this method.
     ///
     /// `walk_budget` caps the number of walks (or spanning trees) a single
@@ -233,39 +211,6 @@ mod tests {
             );
             assert!(!est.name().is_empty());
         }
-    }
-
-    #[test]
-    fn every_method_maps_onto_the_service_plane() {
-        use er_service::{Accuracy, Query, Request, ResistanceService};
-        let g = generators::social_network_like(200, 10.0, 5).unwrap();
-        let service = ResistanceService::new(&g).unwrap();
-        let (s, t) = g.edges().next().unwrap();
-        for kind in MethodKind::random_query_lineup()
-            .into_iter()
-            .chain(MethodKind::edge_query_lineup())
-        {
-            let Some(choice) = kind.backend_choice() else {
-                continue;
-            };
-            // Edge-only methods answer through the edge-set shape.
-            let query = if kind.edge_only() {
-                Query::edge_set(vec![(s, t)])
-            } else {
-                Query::pair(s, t)
-            };
-            let response = service
-                .submit(
-                    &Request::new(query)
-                        .with_accuracy(Accuracy::epsilon(0.5))
-                        .with_backend(choice),
-                )
-                .unwrap_or_else(|e| panic!("{}: {e}", kind.label()));
-            assert_eq!(response.backend, kind.label(), "name round-trips");
-            assert!(response.values[0].is_finite() && response.values[0] >= 0.0);
-        }
-        assert_eq!(MethodKind::SmmPengLength.backend_choice(), None);
-        assert_eq!(MethodKind::Mc.backend_choice(), None);
     }
 
     #[test]

@@ -250,6 +250,18 @@ fn query_stream(graph: &Graph, args: &ParsedArgs, path: &str) -> Result<String, 
         .map_err(|e| format!("cannot read stream trace '{path}': {e}"))?;
     let dynamic = er_service::DynamicResistanceService::from_graph(graph, config)
         .with_refresh_interval(interval);
+    replay_stream(&dynamic, accuracy, &trace)
+}
+
+/// Replays the text of a `query --stream` trace through `dynamic` and
+/// returns the report: a row per query, then the mutation and refresh
+/// counters. The first malformed line, or mutation or query the service
+/// refuses, ends the replay with an error.
+fn replay_stream(
+    dynamic: &er_service::DynamicResistanceService,
+    accuracy: Accuracy,
+    trace: &str,
+) -> Result<String, String> {
     let mut out = String::new();
     let (mut inserts, mut deletes, mut queries) = (0u64, 0u64, 0u64);
     let _ = writeln!(out, "{:>6} {:>8} {:>8} {:>12}", "op", "s", "t", "r'(s,t)");
@@ -534,7 +546,7 @@ COMMANDS:
     stats                       structural + spectral summary of the graph
     query <s> <t> […]           PER queries through the ResistanceService planner
                                 (--random N, --check, --exact, --walk-budget N,
-                                --backend geer|amc|smm|tp|tpc|rp|mc2|hay|
+                                --backend geer|amc|smm|mc2|hay|
                                           exact|exact-cg|index;
                                 --exact takes only exact|exact-cg|index)
                                 --stream <file> replays an edge-mutation/query
@@ -642,26 +654,25 @@ mod tests {
         assert!(query(&g, &args("query 0 120 --backend bogus")).is_err());
     }
 
+    /// A mutation/query trace over the 240-node test graph.
+    const STREAM_TRACE: &str = "# mutation/query trace\n\
+                                ? 0 120\n\
+                                + 0 120\n\
+                                + 5 17\n\
+                                + 5 200\n\
+                                ? 0 120\n\
+                                + 0 120\n\
+                                + 9 9\n\
+                                - 0 120\n\
+                                - 0 120\n\
+                                ? 0 120\n";
+
     #[test]
     fn query_stream_replays_a_trace_and_reports_refresh_counters() {
         let g = graph();
         assert!(g.has_edge(5, 17) && !g.has_edge(0, 120) && !g.has_edge(5, 200));
         let path = std::env::temp_dir().join("er_cli_stream_trace.txt");
-        std::fs::write(
-            &path,
-            "# mutation/query trace\n\
-             ? 0 120\n\
-             + 0 120\n\
-             + 5 17\n\
-             + 5 200\n\
-             ? 0 120\n\
-             + 0 120\n\
-             + 9 9\n\
-             - 0 120\n\
-             - 0 120\n\
-             ? 0 120\n",
-        )
-        .unwrap();
+        std::fs::write(&path, STREAM_TRACE).unwrap();
         let line = format!("query --stream {} --epsilon 0.2", path.display());
         let out = query(&g, &args(&line)).unwrap();
         assert_eq!(out.matches('?').count(), 3, "three query rows: {out}");
@@ -688,6 +699,63 @@ mod tests {
         assert!(err.contains("line 1") && err.contains("'3'"), "{err}");
         let _ = std::fs::remove_file(&path);
         assert!(query(&g, &args(&line)).is_err(), "missing trace file");
+    }
+
+    /// Every replay of a mutated trace returns a report or an error; none
+    /// panics. The trace is [`STREAM_TRACE`] moved onto a 36-node lollipop
+    /// (ids 120 and 200 become 12 and 20), small enough that a few hundred
+    /// replays, each refreshing by a dense eigensolve, take seconds in a
+    /// debug build. Each replay applies one to three seeded bit flips,
+    /// truncations or spliced tokens.
+    #[test]
+    fn mutated_stream_traces_replay_or_fail_without_panicking() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        // A 30-clique with a 6-node tail at node 0: every tail edge is a
+        // bridge.
+        let g = generators::lollipop(30, 6).unwrap();
+        let base = STREAM_TRACE.replace("120", "12").replace("200", "20");
+        const TOKENS: &[&str] = &[
+            "-1",
+            "99999999999999999999",
+            "36",                  // one past the last node
+            " 7",                  // a third field
+            "\n! 1 2\n",           // an unknown op
+            "\n+ 3 3\n",           // a self-loop
+            "\n- 34 35\n? 0 35\n", // a bridge delete, then a query across it
+        ];
+        let accuracy = Accuracy::epsilon(0.2);
+        let mut rng = StdRng::seed_from_u64(0x5747);
+        let mut replayed = 0u32;
+        for _ in 0..300 {
+            let mut trace = base.clone().into_bytes();
+            for _ in 0..rng.gen_range(1..=3usize) {
+                let at = rng.gen_range(0..=trace.len());
+                match rng.gen_range(0..3u32) {
+                    0 if at < trace.len() => trace[at] ^= 1 << rng.gen_range(0..8u32),
+                    1 => trace.truncate(at),
+                    _ => {
+                        let token = TOKENS[rng.gen_range(0..TOKENS.len())];
+                        trace.splice(at..at, token.bytes());
+                    }
+                }
+            }
+            let trace = String::from_utf8_lossy(&trace).into_owned();
+            let replay = catch_unwind(AssertUnwindSafe(|| {
+                let dynamic =
+                    er_service::DynamicResistanceService::from_graph(&g, ApproxConfig::default());
+                replay_stream(&dynamic, accuracy, &trace)
+            }));
+            let report = replay.unwrap_or_else(|_| panic!("replay panicked on {trace:?}"));
+            replayed += u32::from(report.is_ok());
+        }
+        // Both outcomes occur, so the fuzz reaches past the parser.
+        assert!(
+            0 < replayed && replayed < 300,
+            "{replayed} of 300 replays ran"
+        );
     }
 
     #[test]

@@ -118,11 +118,20 @@ impl Lane {
         self.snap = None;
     }
 
-    /// The frontier at the current round as a shared snapshot; pairs
-    /// resolving at the same round on this lane clone one `Arc`.
-    fn snapshot(&mut self, round: usize) -> Arc<Vec<f64>> {
+    /// Releases one reader of this lane, which stops at `round`, and hands
+    /// it the frontier as a shared snapshot: pairs resolving at the same
+    /// round on this lane share one `Arc`, and a last reader that finds no
+    /// snapshot of this round takes the vector instead of cloning it (the
+    /// lane stops advancing once it has no reader).
+    fn release(&mut self, round: usize) -> Arc<Vec<f64>> {
+        self.pending -= 1;
         if self.snap_round != round || self.snap.is_none() {
-            self.snap = Some(Arc::new(self.vec.clone()));
+            let frontier = if self.pending == 0 {
+                std::mem::take(&mut self.vec)
+            } else {
+                self.vec.clone()
+            };
+            self.snap = Some(Arc::new(frontier));
             self.snap_round = round;
         }
         self.snap.clone().expect("snapshot populated above")
@@ -303,10 +312,8 @@ impl GeerBatch {
                 };
                 p.r_b += term;
                 if stop {
-                    let s_vec = lanes[p.si].snapshot(round);
-                    let t_vec = lanes[p.ti].snapshot(round);
-                    lanes[p.si].pending -= 1;
-                    lanes[p.ti].pending -= 1;
+                    let s_vec = lanes[p.si].release(round);
+                    let t_vec = lanes[p.ti].release(round);
                     resolved.push(ResolvedPair {
                         idx: p.idx,
                         s: p.s,
@@ -334,6 +341,8 @@ impl GeerBatch {
                 .sum::<u64>();
         }
 
+        // The tails read only the snapshots: free the lane buffers first.
+        drop(lanes);
         // AMC tails: per-pair forks on the pair-content streams, exactly the
         // seed derivation of `Geer::fork` + `estimate`. The fan-out runs in
         // index order, so costs and values land deterministically.

@@ -54,15 +54,6 @@ impl Hay {
     }
 }
 
-impl crate::estimator::ForkableEstimator for Hay {
-    fn fork(&self, stream: u64) -> Self {
-        let mut fork = self.clone();
-        fork.rng =
-            StdRng::seed_from_u64(er_walks::par::mix_seed(self.config.seed ^ 0x11a7, stream));
-        fork
-    }
-}
-
 impl ResistanceEstimator for Hay {
     fn name(&self) -> &'static str {
         "HAY"
@@ -79,8 +70,19 @@ impl ResistanceEstimator for Hay {
             return Err(EstimatorError::NotAnEdge { s, t });
         }
         let mut trees = Self::trees_required(self.config.epsilon, self.config.delta);
-        if let Some(budget) = self.tree_budget {
-            trees = trees.min(budget.max(1));
+        match self.tree_budget {
+            // One tree would answer 0 or 1 for the edge: refuse instead, as
+            // AMC refuses a budget below its first batch.
+            Some(0) => {
+                return Err(EstimatorError::BudgetExceeded {
+                    resource: "spanning trees",
+                    message: format!(
+                        "HAY needs at least one tree for ({s}, {t}) but the budget is 0"
+                    ),
+                })
+            }
+            Some(budget) => trees = trees.min(budget),
+            None => {}
         }
         let mut cost = CostBreakdown::default();
         let fan_seed = self.rng.next_u64();
@@ -179,5 +181,10 @@ mod tests {
         let est = hay.estimate(0, 1).unwrap();
         assert_eq!(est.cost.spanning_trees, 25);
         assert!((0.0..=1.0).contains(&est.value));
+        let mut none = Hay::new(&ctx, ApproxConfig::with_epsilon(0.01)).with_tree_budget(0);
+        assert!(matches!(
+            none.estimate(0, 1),
+            Err(EstimatorError::BudgetExceeded { .. })
+        ));
     }
 }

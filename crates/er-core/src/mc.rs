@@ -74,15 +74,6 @@ impl Mc {
     }
 }
 
-impl crate::estimator::ForkableEstimator for Mc {
-    fn fork(&self, stream: u64) -> Self {
-        let mut fork = self.clone();
-        fork.rng =
-            StdRng::seed_from_u64(er_walks::par::mix_seed(self.config.seed ^ 0x0c11, stream));
-        fork
-    }
-}
-
 impl ResistanceEstimator for Mc {
     fn name(&self) -> &'static str {
         "MC"

@@ -95,8 +95,19 @@ impl ResistanceEstimator for Mc2 {
             return Err(EstimatorError::NotAnEdge { s, t });
         }
         let mut trials = self.trials();
-        if let Some(budget) = self.walk_budget {
-            trials = trials.min(budget.max(1));
+        match self.walk_budget {
+            // One trial would answer 0 or 1 for the edge: refuse instead,
+            // as AMC refuses a budget below its first batch.
+            Some(0) => {
+                return Err(EstimatorError::BudgetExceeded {
+                    resource: "random walks",
+                    message: format!(
+                        "MC2 needs at least one trial for ({s}, {t}) but the budget is 0"
+                    ),
+                })
+            }
+            Some(budget) => trials = trials.min(budget),
+            None => {}
         }
         let mut cost = CostBreakdown::default();
         let fan_seed = self.rng.next_u64();
@@ -179,5 +190,10 @@ mod tests {
         let est = mc2.estimate(s, t).unwrap();
         assert!(est.cost.random_walks <= 200);
         assert!((0.0..=1.0).contains(&est.value));
+        let mut none = Mc2::new(&ctx, ApproxConfig::with_epsilon(0.01)).with_walk_budget(0);
+        assert!(matches!(
+            none.estimate(s, t),
+            Err(EstimatorError::BudgetExceeded { .. })
+        ));
     }
 }

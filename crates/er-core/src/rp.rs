@@ -63,12 +63,6 @@ impl Rp {
     }
 }
 
-impl crate::estimator::ForkableEstimator for Rp {
-    fn fork(&self, _stream: u64) -> Self {
-        self.clone() // the sketch is fixed at build time; queries are deterministic
-    }
-}
-
 impl ResistanceEstimator for Rp {
     fn name(&self) -> &'static str {
         "RP"

@@ -79,15 +79,6 @@ impl Tp {
     }
 }
 
-impl crate::estimator::ForkableEstimator for Tp {
-    fn fork(&self, stream: u64) -> Self {
-        let mut fork = self.clone();
-        fork.rng =
-            StdRng::seed_from_u64(er_walks::par::mix_seed(self.config.seed ^ 0x0071, stream));
-        fork
-    }
-}
-
 impl ResistanceEstimator for Tp {
     fn name(&self) -> &'static str {
         "TP"

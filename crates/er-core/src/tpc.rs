@@ -148,15 +148,6 @@ impl Tpc {
     }
 }
 
-impl crate::estimator::ForkableEstimator for Tpc {
-    fn fork(&self, stream: u64) -> Self {
-        let mut fork = self.clone();
-        fork.rng =
-            StdRng::seed_from_u64(er_walks::par::mix_seed(self.config.seed ^ 0x007c, stream));
-        fork
-    }
-}
-
 impl ResistanceEstimator for Tpc {
     fn name(&self) -> &'static str {
         "TPC"

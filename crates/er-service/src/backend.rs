@@ -4,10 +4,10 @@
 //! calling `GeerBatch::run` or `ErIndex::resistance` directly. Every other
 //! backend answers the distinct pairs of a request here:
 //!
-//! * [`forked`] — any [`ForkableEstimator`] (AMC, SMM, TP, TPC, RP, MC2,
-//!   EXACT, EXACT-CG): pair `i` runs on an independent fork of the
-//!   prototype on the pair's content-derived stream, so values are
-//!   bit-identical at any thread count and in any batch.
+//! * [`forked`] — any [`ForkableEstimator`] (AMC, SMM, MC2, EXACT,
+//!   EXACT-CG): pair `i` runs on an independent fork of the prototype on
+//!   the pair's content-derived stream, so values are bit-identical at any
+//!   thread count and in any batch.
 //! * [`hay`] — batch-native HAY: one pool of uniform spanning trees scores
 //!   *every* edge of the set at once, amortising the trees the per-query
 //!   estimator would sample per edge.
@@ -59,16 +59,23 @@ pub(crate) fn forked<E: ForkableEstimator>(
 
 /// Number of spanning trees HAY samples: the Hoeffding count
 /// [`Hay::trees_required`] for ε-targets, the budget itself for
-/// [`Accuracy::WalkBudget`].
-fn hay_trees(accuracy: Accuracy, config: ApproxConfig) -> u64 {
+/// [`Accuracy::WalkBudget`]. A budget of no tree is refused: a pool of one
+/// tree would answer 0 or 1 for every edge.
+fn hay_trees(accuracy: Accuracy, config: ApproxConfig) -> Result<u64, EstimatorError> {
     let (eps, delta) = match accuracy {
         Accuracy::Epsilon { eps, delta } => (eps, delta),
-        Accuracy::WalkBudget(budget) => return budget.max(1),
+        Accuracy::WalkBudget(0) => {
+            return Err(EstimatorError::BudgetExceeded {
+                resource: "spanning trees",
+                message: "HAY needs at least one tree but the budget is 0".into(),
+            })
+        }
+        Accuracy::WalkBudget(budget) => return Ok(budget),
         // Exact never reaches HAY: the planner routes it to an exact
         // backend, and the service refuses a HAY override of it.
         Accuracy::Exact => (config.epsilon, config.delta),
     };
-    Hay::trees_required(eps, delta)
+    Ok(Hay::trees_required(eps, delta))
 }
 
 /// Batch-native HAY: samples one pool of uniform spanning trees (Wilson's
@@ -91,7 +98,7 @@ pub(crate) fn hay(
             return Err(EstimatorError::NotAnEdge { s, t });
         }
     }
-    let trees = hay_trees(accuracy, config);
+    let trees = hay_trees(accuracy, config)?;
     // One RNG stream per tree, derived from the seed alone: the tree pool
     // is a pure function of (seed, trees), identical at any thread count.
     // The multi-root lockstep Wilson driver grows several trees of each
@@ -219,7 +226,7 @@ mod tests {
         let context = ctx();
         let config = ApproxConfig::with_epsilon(0.2);
         assert_eq!(
-            hay_trees(Accuracy::WalkBudget(50), config),
+            hay_trees(Accuracy::WalkBudget(50), config).unwrap(),
             50,
             "budget maps to trees"
         );

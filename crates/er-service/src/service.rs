@@ -9,8 +9,8 @@
 //! * a sharded cache tier: one [`QueryCache`] shard per
 //!   accuracy/backend-override class, each behind its own mutex, so requests
 //!   in different classes never contend, and
-//! * a registry of memoized heavy backends (index, dense-exact, RP sketch)
-//!   built lazily behind per-backend locks.
+//! * a registry of memoized heavy backends (index, dense-exact) built
+//!   lazily behind per-backend locks.
 //!
 //! [`submit`] matches the planned [`BackendChoice`] and calls that
 //! estimator directly; [`BackendChoice::answers`] is the one table of which
@@ -25,8 +25,7 @@ use crate::planner::{route, BackendChoice};
 use crate::query::{Accuracy, Query, Request};
 use crate::response::Response;
 use er_core::{
-    Amc, ApproxConfig, CostBreakdown, Exact, GeerBatch, GeerBatchRun, GraphContext, Mc2, Rp, Smm,
-    Tp, Tpc,
+    Amc, ApproxConfig, CostBreakdown, Exact, GeerBatch, GeerBatchRun, GraphContext, Mc2, Smm,
 };
 use er_graph::{IntoGraphArc, NodeId};
 use er_index::{ErIndex, QueryCache};
@@ -124,9 +123,6 @@ impl CacheTier {
     }
 }
 
-/// `(eps_bits, delta_bits)` identifying an RP sketch's operating point.
-type RpKey = (u64, u64);
-
 /// Lazily built, memoized heavy backends. Each slot has its own lock, held
 /// across construction so concurrent requests needing the same backend wait
 /// for one build instead of duplicating it; requests on other backends are
@@ -142,8 +138,6 @@ struct BackendRegistry {
     /// [`plan`]: ResistanceService::plan
     index_ready: std::sync::atomic::AtomicBool,
     exact_dense: Mutex<Option<Arc<Exact>>>,
-    /// RP's sketch is ε/δ-specific, so it is memoized per operating point.
-    rp: Mutex<Option<(RpKey, Arc<Rp>)>>,
 }
 
 /// The value memoized in `slot`, built by `build` on first use. The slot's
@@ -192,7 +186,7 @@ struct PendingPairs {
     owned_slots: Vec<usize>,
 }
 
-/// The unified query plane: one front door for every estimator.
+/// The unified query plane: one front door for every served estimator.
 ///
 /// Callers describe *what* they want — a typed [`Query`] plus an
 /// [`Accuracy`] target — and the service plans *how*: a capability check, a
@@ -659,8 +653,8 @@ impl ResistanceService {
     /// Answers the distinct pairs of one call with the chosen backend;
     /// `streams[i]` is the content-derived RNG stream of `pairs[i]`. The
     /// sampling prototypes are free to construct and are rebuilt per call so
-    /// they pick up the request's accuracy target; the index, dense-exact
-    /// and RP backends carry expensive preprocessing and are memoized.
+    /// they pick up the request's accuracy target; the index and dense-exact
+    /// backends carry expensive preprocessing and are memoized.
     fn answer_pairs(
         &self,
         choice: BackendChoice,
@@ -687,15 +681,6 @@ impl ResistanceService {
                 forked(&amc, pairs, streams, threads)?
             }
             BackendChoice::Smm => forked(&Smm::new(ctx, cfg), pairs, streams, threads)?,
-            BackendChoice::Tp => {
-                let tp = budgeted(Tp::new(ctx, cfg), budget, Tp::with_walk_budget);
-                forked(&tp, pairs, streams, threads)?
-            }
-            BackendChoice::Tpc => {
-                let tpc = budgeted(Tpc::new(ctx, cfg), budget, Tpc::with_walk_budget);
-                forked(&tpc, pairs, streams, threads)?
-            }
-            BackendChoice::Rp => forked(self.rp(cfg)?.as_ref(), pairs, streams, threads)?,
             BackendChoice::Mc2 => {
                 let mc2 = budgeted(Mc2::new(ctx, cfg), budget, Mc2::with_walk_budget);
                 forked(&mc2, pairs, streams, threads)?
@@ -740,21 +725,6 @@ impl ResistanceService {
         memoized(&self.backends.exact_dense, || {
             Ok(Exact::new(&self.context)?)
         })
-    }
-
-    /// RP's sketch of Laplacian solves for `cfg`'s operating point, rebuilt
-    /// only when the operating point changes.
-    fn rp(&self, cfg: ApproxConfig) -> Result<Arc<Rp>, ServiceError> {
-        let key = (cfg.epsilon.to_bits(), cfg.delta.to_bits());
-        let mut slot = self.backends.rp.lock().expect("rp slot poisoned");
-        match slot.as_ref() {
-            Some((k, rp)) if *k == key => Ok(rp.clone()),
-            _ => {
-                let rp = Arc::new(Rp::with_entry_budget(&self.context, cfg, 10_000_000)?);
-                *slot = Some((key, rp.clone()));
-                Ok(rp)
-            }
-        }
     }
 
     /// Hit/miss statistics of the cache tier, summed over accuracy classes:
@@ -939,7 +909,7 @@ mod tests {
             BackendChoice::Geer,
             BackendChoice::Amc,
             BackendChoice::Smm,
-            BackendChoice::Rp,
+            BackendChoice::Mc2,
         ] {
             let err = s.submit(&exact(choice)).unwrap_err();
             assert!(
@@ -1122,9 +1092,6 @@ mod tests {
             BackendChoice::Geer,
             BackendChoice::Amc,
             BackendChoice::Smm,
-            BackendChoice::Tp,
-            BackendChoice::Tpc,
-            BackendChoice::Rp,
             BackendChoice::Mc2,
             BackendChoice::Hay,
             BackendChoice::ExactDense,
@@ -1244,5 +1211,30 @@ mod tests {
         assert_eq!(prefix.backend, "GEER");
         assert_eq!(prefix.cost.random_walks, 0);
         assert!(prefix.values.iter().all(|&v| v > 0.0));
+    }
+
+    /// MC2 and HAY refuse a budget of no walk or tree, as AMC refuses one
+    /// below its first batch, instead of answering 0 or 1 for an edge from a
+    /// single sample. A planner-routed edge set goes to HAY, so it needs no
+    /// override to reach the refusal.
+    #[test]
+    fn zero_walk_budgets_on_edge_sets_are_refused() {
+        let g = generators::social_network_like(300, 8.0, 5).unwrap();
+        let s = ResistanceService::new(&g).unwrap();
+        let edges: Vec<_> = g.edges().take(2).collect();
+        let request = Request::new(Query::edge_set(edges)).with_accuracy(Accuracy::WalkBudget(0));
+        assert_eq!(s.plan(&request), BackendChoice::Hay);
+        for request in [request.clone(), request.with_backend(BackendChoice::Mc2)] {
+            assert!(
+                matches!(
+                    s.submit(&request),
+                    Err(ServiceError::Estimator(
+                        er_core::EstimatorError::BudgetExceeded { .. }
+                    ))
+                ),
+                "{:?}",
+                request.backend
+            );
+        }
     }
 }

@@ -15,7 +15,7 @@
 //! * [`service`] (= `er-service`) — the **unified query plane**: typed
 //!   queries, capability-based planning, one front door
 //!   ([`ResistanceService`], `&self`-submittable and `Send + Sync`) for
-//!   every estimator, plus the concurrent serving front end
+//!   every served estimator, plus the concurrent serving front end
 //!   ([`ResistanceServer`] with admission control, request dedup,
 //!   cross-client coalescing and deadline-aware scheduling).
 //! * [`http`] (= `er-http`) — a std-only HTTP/1.1 front end

@@ -57,11 +57,6 @@
 //!
 //! Left out of the ε assertions:
 //!
-//! * TP and TPC: at their paper sample sizes, 60 pairs took 60 s and 200 s
-//!   in release. TPC's estimator is checked against exact values by its
-//!   unit test on a non-regular graph.
-//! * RP: its sketch costs `24 ln n / ε²` Laplacian solves before the first
-//!   answer.
 //! * MC2 in debug builds: its trial count `3 ln(1/δ)/(ε²γ)` at the default
 //!   γ = 1/(2m) is `6m ln(1/δ)/ε²`, about 1.2 million first-hit walks per
 //!   edge of the BA graph. Five edges per graph take about 12 s in release

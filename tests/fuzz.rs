@@ -45,7 +45,7 @@ const BODIES: &[&str] = &[
     r#"{"query":{"type":"pair","s":0,"t":150}}"#,
     r#"{"query":{"type":"pair","s":0,"t":150},"backend":"geer"}"#,
     r#"{"query":{"type":"batch","pairs":[[1,2],[5,199],[9,9]]},"backend":"amc"}"#,
-    r#"{"query":{"type":"pair","s":3,"t":180},"accuracy":{"type":"walk_budget","walks":20000},"backend":"tp"}"#,
+    r#"{"query":{"type":"pair","s":3,"t":180},"accuracy":{"type":"walk_budget","walks":20000},"backend":"geer"}"#,
     r#"{"query":{"type":"single_source","source":42}}"#,
     r#"{"query":{"type":"top_k","source":42,"k":5}}"#,
     r#"{"query":{"type":"pair","s":4,"t":77},"backend":"amc"}"#,

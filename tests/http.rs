@@ -451,7 +451,7 @@ fn identity_bodies() -> Vec<String> {
     vec![
         r#"{"query":{"type":"pair","s":0,"t":150},"backend":"geer"}"#.into(),
         r#"{"query":{"type":"batch","pairs":[[1,2],[5,199],[9,9]]},"backend":"amc"}"#.into(),
-        r#"{"query":{"type":"pair","s":3,"t":180},"accuracy":{"type":"walk_budget","walks":20000},"backend":"tp"}"#.into(),
+        r#"{"query":{"type":"pair","s":3,"t":180},"accuracy":{"type":"walk_budget","walks":20000},"backend":"geer"}"#.into(),
         r#"{"query":{"type":"single_source","source":42}}"#.into(),
         r#"{"query":{"type":"top_k","source":42,"k":5}}"#.into(),
         r#"{"query":{"type":"pair","s":17,"t":120}}"#.into(),

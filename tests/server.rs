@@ -22,8 +22,9 @@ fn service(graph: &Graph) -> ResistanceService {
     ResistanceService::with_config(graph, config).unwrap()
 }
 
-/// A fixed request set covering randomized backends (forced GEER/AMC/HAY/
-/// TPC), planner-routed exact answers, the index tier and cache repeats.
+/// A fixed request set covering randomized backends (forced GEER/AMC/HAY,
+/// and budgeted GEER), planner-routed exact answers, the index tier and
+/// cache repeats.
 ///
 /// Deliberately excluded: `Accuracy::Exact` pair queries and ≥ 16-repeated-
 /// source ε batches, whose *routing* legitimately depends on whether the
@@ -39,7 +40,7 @@ fn request_set(g: &Graph) -> Vec<Request> {
         Request::new(Query::edge_set(edges.clone())).with_backend(BackendChoice::Hay),
         Request::new(Query::pair(3, 350))
             .with_accuracy(Accuracy::WalkBudget(20_000))
-            .with_backend(BackendChoice::Tpc),
+            .with_backend(BackendChoice::Geer),
         Request::new(Query::batch(vec![(0, 300), (10, 20)])),
         Request::new(Query::single_source(42)),
         Request::new(Query::top_k(42, 5)),
@@ -252,12 +253,14 @@ fn coalesced_batches_amortize_work_without_changing_values() {
 #[test]
 fn late_identical_submits_attach_to_the_running_execution() {
     let g = graph();
-    // TP spends its walk budget literally (no adaptive early stopping), so a
+    // MC2 spends its walk budget in full (its trial count at the universal
+    // γ = 1/(2m) far exceeds the budget, and it has no early stopping), so a
     // large budget keeps the execution running long enough to attach to even
     // on a single-CPU runner.
-    let request = Request::new(Query::pair(11, 273))
-        .with_accuracy(Accuracy::WalkBudget(8_000_000))
-        .with_backend(BackendChoice::Tp);
+    let edge = g.edges().nth(273).unwrap();
+    let request = Request::new(Query::edge_set(vec![edge]))
+        .with_accuracy(Accuracy::WalkBudget(120_000))
+        .with_backend(BackendChoice::Mc2);
     let solo = service(&g).submit(&request).unwrap();
 
     // The attach window is timing-dependent: retry with a fresh server until
@@ -297,7 +300,7 @@ fn late_identical_submits_attach_to_the_running_execution() {
                 leader_bits,
                 "attached ticket must carry the leader's exact bits"
             );
-            assert_eq!(response.backend, "TP");
+            assert_eq!(response.backend, "MC2");
         }
         let stats = handle.stats();
         handle.shutdown();

@@ -52,7 +52,7 @@ fn responses_are_bit_identical_at_1_2_8_threads() {
         // Budgeted sampling.
         Request::new(Query::pair(3, 400))
             .with_accuracy(Accuracy::WalkBudget(20_000))
-            .with_backend(BackendChoice::Tpc),
+            .with_backend(BackendChoice::Geer),
         Request::new(Query::edge_set(vec![edges[0]]))
             .with_accuracy(Accuracy::WalkBudget(20_000))
             .with_backend(BackendChoice::Mc2),
